@@ -10,23 +10,15 @@ rewriter uses for every conversion.
 from __future__ import annotations
 
 import argparse
-import os
 from dataclasses import dataclass
 
-from unical import analyze, bundled_registry, load_registry
+from unical import analyze, load_registry, read_registry
 
 
 @dataclass
 class ReportConfig:
     registries: tuple[str, ...] = ("si",)
     include_pathological: bool = True
-
-
-def read_registry(item: str) -> str:
-    if os.path.exists(item):
-        with open(item, "r", encoding="utf-8") as handle:
-            return handle.read()
-    return bundled_registry(item)
 
 
 def run(config: ReportConfig) -> None:

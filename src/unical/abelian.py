@@ -10,8 +10,9 @@ generic evaluation possible.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Callable, Generic, Iterable, Iterator, Mapping, TypeVar, Union
+from typing import Any, Callable, Generic, Iterable, Iterator, TypeVar, Union
 
 __all__ = [
     "ExponentMap",

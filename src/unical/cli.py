@@ -30,10 +30,8 @@ from .convert import (
 from .model import UnitSystem, UnknownSymbolError, dim, evaluate, norm
 from .numeric import MAX_DECIMAL_DIGITS, RatioError, ratio_text, ratio_to_decimal
 from .registry import (
-    BUNDLED_REGISTRIES,
     RegistryError,
     UnitSyntaxError,
-    bundled_registry,
     build_system,
     merge_documents,
     parse_document,
@@ -44,6 +42,7 @@ from .registry import (
     print_prefix,
     print_root,
     print_unit,
+    read_registry,
 )
 
 __all__ = [
@@ -78,20 +77,8 @@ class CliConfig:
     include_pathological: bool = True
 
 
-def _read_registry(item: str) -> str:
-    if os.path.exists(item):
-        with open(item, "r", encoding="utf-8") as handle:
-            return handle.read()
-    if item in BUNDLED_REGISTRIES:
-        return bundled_registry(item)
-    raise RegistryError(
-        f"registry {item!r} is neither a readable file nor one of the bundled names "
-        f"({', '.join(BUNDLED_REGISTRIES)})"
-    )
-
-
 def _load(config: CliConfig) -> tuple[UnitSystem, DefiningConversion]:
-    documents = [parse_document(_read_registry(item)) for item in config.registries]
+    documents = [parse_document(read_registry(item)) for item in config.registries]
     return build_system(
         merge_documents(documents), include_pathological=config.include_pathological
     )

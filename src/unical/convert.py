@@ -12,7 +12,7 @@ inconsistency witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Union
@@ -101,10 +101,15 @@ class DefiningConversion:
     """Validated rule set: base-unit symbol -> (ratio, replacement unit).
 
     Build these through `defining_conversion`, which checks the shape;
-    the constructor itself only freezes the mapping.
+    the constructor itself only freezes the mapping. The normal-form
+    table that `rwr_star` and `convert` use is compiled on first use and
+    kept here, together with the unit system it was compiled against.
     """
 
     rules: Rules
+    _compiled: Optional[tuple[UnitSystem, Mapping[str, EvaluatedUnit]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rules", MappingProxyType(dict(self.rules)))
@@ -288,26 +293,55 @@ def rwr_eval(system: UnitSystem, conversion: DefiningConversion, unit: Evaluated
     return EvaluatedUnit(factor, ExponentMap(pairs))
 
 
-def _exhaust(
-    system: UnitSystem, conversion: DefiningConversion, unit: Unit, bound: int
-) -> EvaluatedUnit:
-    result = evaluate(system, unit)
-    for _ in range(bound):
-        result = rwr_eval(system, conversion, result)
-    return result
+def _substitute(normal_forms: Mapping[str, EvaluatedUnit], unit: EvaluatedUnit) -> EvaluatedUnit:
+    """Replace each root symbol that has a normal form by that form."""
+    factor = unit.factor
+    pairs: list[tuple[str, int]] = []
+    for base, exponent in unit.root.items():
+        expanded = normal_forms.get(base)
+        if expanded is None:
+            pairs.append((base, exponent))
+        else:
+            factor *= expanded.factor ** exponent
+            pairs.extend((symbol, z * exponent) for symbol, z in expanded.root.items())
+    return EvaluatedUnit(factor, ExponentMap(pairs))
+
+
+def _normal_forms(system: UnitSystem, conversion: DefiningConversion) -> Mapping[str, EvaluatedUnit]:
+    """The fully expanded form of every ruled symbol, compiled once.
+
+    For well-founded rules full expansion is a group homomorphism of the
+    evaluated root, so each ruled symbol's normal form follows from its
+    rule and the normal forms of its dependencies, visited in depth
+    order. Prefix values enter through the replacements, so the table is
+    kept for one unit system, matched by identity. Raises
+    NotWellDefiningError on cyclic rules.
+    """
+    compiled = conversion._compiled
+    if compiled is not None and compiled[0] is system:
+        return compiled[1]
+    report = analyze(system, conversion)
+    if not report.well_founded:
+        raise NotWellDefiningError(report.cycle_witness)
+    table: dict[str, EvaluatedUnit] = {}
+    for base in sorted(conversion.rules, key=report.depth.__getitem__):
+        ratio, replacement = conversion.rules[base]
+        expanded = _substitute(table, evaluate(system, replacement))
+        table[base] = EvaluatedUnit(ratio * expanded.factor, expanded.root)
+    object.__setattr__(conversion, "_compiled", (system, table))
+    return table
 
 
 def rwr_star(system: UnitSystem, conversion: DefiningConversion, unit: Unit) -> EvaluatedUnit:
     """Fully expand a unit: evaluate, then rewrite to the fixed point.
 
-    The dependency analysis bounds how many parallel rewriting passes are
-    ever needed, so the fixed point is reached by running exactly that
-    many. Raises NotWellDefiningError on cyclic rules.
+    The fixed point is what `iteration_bound` parallel `rwr_eval` passes
+    reach. That bound is worked out once per rule set and system, into a
+    table of each ruled symbol's normal form, so a unit is expanded by
+    one evaluation and one substitution pass over its root. Raises
+    NotWellDefiningError on cyclic rules, before the unit is looked at.
     """
-    report = analyze(system, conversion)
-    if not report.well_founded:
-        raise NotWellDefiningError(report.cycle_witness)
-    return _exhaust(system, conversion, unit, report.iteration_bound)
+    return _substitute(_normal_forms(system, conversion), evaluate(system, unit))
 
 
 def convert(
@@ -315,15 +349,12 @@ def convert(
 ) -> Optional[Fraction]:
     """Exact conversion factor from `source` to `target`, or None.
 
-    Both units are fully expanded; they are convertible exactly when the
-    expanded roots coincide, and then source = factor * target with
-    factor the quotient of the expanded scale factors.
+    Both units are fully expanded by `rwr_star`; they are convertible
+    exactly when the expanded roots coincide, and then source = factor *
+    target with factor the quotient of the expanded scale factors.
     """
-    report = analyze(system, conversion)
-    if not report.well_founded:
-        raise NotWellDefiningError(report.cycle_witness)
-    expanded_source = _exhaust(system, conversion, source, report.iteration_bound)
-    expanded_target = _exhaust(system, conversion, target, report.iteration_bound)
+    expanded_source = rwr_star(system, conversion, source)
+    expanded_target = rwr_star(system, conversion, target)
     if expanded_source.root != expanded_target.root:
         return None
     return expanded_source.factor / expanded_target.factor
@@ -527,14 +558,14 @@ def classify(
         mapping: Mapping[str, tuple] = rules.rules
     else:
         mapping = dict(rules)
-    checked = _structural_rules(system, mapping)
-    is_regular = not checked
+    checked = DefiningConversion(_structural_rules(system, mapping))
+    is_regular = not checked.rules
     is_defining = all(
         dim(system, replacement) == dim_root(system, em_delta(base))
-        for base, (_, replacement) in checked.items()
+        for base, (_, replacement) in checked.rules.items()
     )
     if is_defining:
-        report = analyze(system, DefiningConversion(checked))
+        report = analyze(system, checked)
         if report.well_founded:
             return ClassificationReport(
                 is_defining=True,
@@ -546,11 +577,7 @@ def classify(
         cycle = report.cycle_witness
     else:
         cycle = None
-    rule_triples = [
-        ConvTriple(em_delta(PreUnit(em_empty(), base)), ratio, replacement)
-        for base, (ratio, replacement) in sorted(checked.items())
-    ]
-    exploration = explore_closure(system, rule_triples, max_steps, max_word)
+    exploration = explore_closure(system, checked.triples(), max_steps, max_word)
     if exploration.witness is not None:
         consistency = "witness_found"
     elif exploration.truncated:

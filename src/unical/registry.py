@@ -12,6 +12,7 @@ The normative description of the file format lives in docs/format.md.
 
 from __future__ import annotations
 
+import os
 import re
 import unicodedata
 from dataclasses import dataclass
@@ -52,6 +53,7 @@ __all__ = [
     "print_prefix",
     "print_root",
     "print_unit",
+    "read_registry",
 ]
 
 BUNDLED_REGISTRIES = ("si", "uk")
@@ -221,15 +223,22 @@ def _parse_expression(text: str, resolver: Resolver) -> ExponentMap:
 
 
 def _prefix_chain(system: UnitSystem, head: str) -> Optional[list[str]]:
-    """Greedy longest-match factorization of `head` into prefix symbols."""
-    ordered = sorted(system.base_prefixes, key=lambda s: (-len(s), s))
+    """Greedy longest-match factorization of `head` into prefix symbols.
+
+    At a given offset at most one registered symbol has a given length,
+    so looking up the candidate slices longest first finds the longest
+    match; no slice longer than the longest symbol is tried.
+    """
+    prefixes = system.base_prefixes
+    longest = max(map(len, prefixes), default=0)
     chain: list[str] = []
-    rest = head
-    while rest:
-        for symbol in ordered:
-            if rest.startswith(symbol):
+    start = 0
+    while start < len(head):
+        for end in range(min(len(head), start + longest), start, -1):
+            symbol = head[start:end]
+            if symbol in prefixes:
                 chain.append(symbol)
-                rest = rest[len(symbol):]
+                start = end
                 break
         else:
             return None
@@ -245,8 +254,13 @@ def _resolve_explicit(system: UnitSystem, text: str) -> Optional[Unit]:
     `prefix^exponent`.
     """
     segments = text.split("_")
+    longest = max(map(len, system.base_units), default=0)
+    start = 0
     for split in range(1, len(segments)):
-        tail = "_".join(segments[split:])
+        start += len(segments[split - 1]) + 1
+        if len(text) - start > longest:
+            continue
+        tail = text[start:]
         if "^" in tail or tail not in system.base_units:
             continue
         pairs: list[tuple[str, int]] = []
@@ -271,14 +285,14 @@ def _resolve_explicit(system: UnitSystem, text: str) -> Optional[Unit]:
 
 def _resolve_greedy(system: UnitSystem, text: str) -> Optional[Unit]:
     """Resolve `text` as prefix chain + base unit, longest base suffix first."""
-    suffixes = sorted(
-        (base for base in system.base_units if text.endswith(base) and base != text),
-        key=lambda s: (-len(s), s),
-    )
-    for base in suffixes:
-        chain = _prefix_chain(system, text[: -len(base)])
-        if chain is not None:
-            return em_delta(PreUnit(ExponentMap((symbol, 1) for symbol in chain), base))
+    units = system.base_units
+    longest = max(map(len, units), default=0)
+    for start in range(max(1, len(text) - longest), len(text)):
+        base = text[start:]
+        if base in units:
+            chain = _prefix_chain(system, text[:start])
+            if chain is not None:
+                return em_delta(PreUnit(ExponentMap((symbol, 1) for symbol in chain), base))
     return None
 
 
@@ -588,3 +602,16 @@ def bundled_registry(name: str) -> str:
             f"no bundled registry {name!r}; available: {', '.join(BUNDLED_REGISTRIES)}"
         )
     return resources.files("unical").joinpath("data", f"{name}.reg").read_text(encoding="utf-8")
+
+
+def read_registry(item: str) -> str:
+    """Text of a registry given as a file path or a bundled name."""
+    if os.path.exists(item):
+        with open(item, "r", encoding="utf-8") as handle:
+            return handle.read()
+    if item in BUNDLED_REGISTRIES:
+        return bundled_registry(item)
+    raise RegistryError(
+        f"registry {item!r} is neither a readable file nor one of the bundled names "
+        f"({', '.join(BUNDLED_REGISTRIES)})"
+    )

@@ -14,7 +14,9 @@ from unical import (
     em_empty,
     em_mul,
     em_pow,
+    evaluate,
     prefix_unit,
+    rwr_eval,
 )
 
 TEST_PREFIXES = {
@@ -122,3 +124,15 @@ def random_integer_map(rng, generators, max_entries=4, span=5):
 
 def as_preunit(base, prefix=None):
     return PreUnit(em_empty() if prefix is None else ExponentMap(prefix), base)
+
+
+def exhaust(system, conversion, unit, bound):
+    """Reference full expansion: evaluate, then `bound` parallel rewriting passes.
+
+    With `bound` the analyzed iteration bound this is the fixed point that
+    `rwr_star` computes from its compiled normal-form table.
+    """
+    result = evaluate(system, unit)
+    for _ in range(bound):
+        result = rwr_eval(system, conversion, result)
+    return result

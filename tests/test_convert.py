@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from unical import (
     ConvTriple,
@@ -29,11 +31,14 @@ from unical import (
     parse_unit,
     rwr_eval,
     rwr_star,
+    strip,
+    unroot,
     xpd,
 )
 from support import (
     bare,
     dimensionless_system,
+    exhaust,
     random_chain_system,
     random_unit,
     unit_of,
@@ -182,8 +187,52 @@ def test_rwr_star_examples():
 
 def test_rwr_star_requires_well_founded_rules():
     system, rules = cyclic_pair()
-    with pytest.raises(NotWellDefiningError, match="a > b > a"):
-        rwr_star(system, rules, bare("a"))
+    # The cycle is reported before the unit is read, even an unknown one.
+    for unit in (bare("a"), bare("unregistered")):
+        with pytest.raises(NotWellDefiningError, match="a > b > a"):
+            rwr_star(system, rules, unit)
+        with pytest.raises(NotWellDefiningError, match="a > b > a"):
+            convert(system, rules, unit, bare("b"))
+
+
+@given(st.randoms(use_true_random=False))
+def test_rwr_star_and_convert_match_exhaustive_rewriting(rng):
+    base_count = rng.randint(2, 7)
+    rule_count = rng.randint(1, base_count - 1)
+    system, rules, _ = random_chain_system(rng, base_count, rule_count, prefix_chance=0.5)
+    bound = analyze(system, rules).iteration_bound
+    source = random_unit(rng, system)
+    expanded = exhaust(system, rules, source, bound)
+    assert rwr_star(system, rules, source) == expanded
+    target = rng.choice(
+        [random_unit(rng, system), strip(source), unroot(expanded.root)]
+    )
+    expanded_target = exhaust(system, rules, target, bound)
+    if expanded.root == expanded_target.root:
+        expected = expanded.factor / expanded_target.factor
+    else:
+        expected = None
+    assert convert(system, rules, source, target) == expected
+
+
+@given(st.randoms(use_true_random=False))
+def test_rwr_star_matches_exhaustive_rewriting_on_si(rng):
+    unit = random_unit(rng, SI)
+    bound = analyze(SI, SI_RULES).iteration_bound
+    assert rwr_star(SI, SI_RULES, unit) == exhaust(SI, SI_RULES, unit, bound)
+
+
+def test_one_conversion_under_two_systems_uses_each_systems_prefixes():
+    def system_with(value):
+        return UnitSystem(
+            frozenset(), {"p": Fraction(value)}, {"a": em_empty(), "b": em_empty()}
+        )
+
+    doubling, quadrupling = system_with(2), system_with(4)
+    rules = defining_conversion(doubling, {"a": (Fraction(3), unit_of(("b", 1, {"p": 1})))})
+    for system, expected in ((doubling, 6), (quadrupling, 12), (doubling, 6)):
+        assert convert(system, rules, bare("a"), bare("b")) == expected
+        assert rwr_star(system, rules, bare("a")).factor == expected
 
 
 def test_convert_identity_and_congruence():

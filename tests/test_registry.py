@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from unical import (
     evaluate,
     norm,
 )
+from unical.registry import _resolve_identifier
 from support import as_preunit, bare, random_unit, unit_of
 
 SI, SI_RULES = load_registry(bundled_registry("si"))
@@ -241,3 +243,76 @@ def test_print_unit_refuses_unregistered_symbols():
 def test_parse_print_roundtrip(rng):
     unit = random_unit(rng, SI, max_parts=3)
     assert parse_unit(SI, print_unit(SI, unit)) == unit
+
+
+def sorted_scan_resolve(system, text):
+    """Identifier resolution as first written: sort the symbols, scan them all."""
+    if text in system.base_units:
+        return em_delta(PreUnit(em_empty(), text))
+    if "_" in text:
+        segments = text.split("_")
+        for split in range(1, len(segments)):
+            tail = "_".join(segments[split:])
+            if "^" in tail or tail not in system.base_units:
+                continue
+            pairs = []
+            for segment in segments[:split]:
+                symbol, caret, exponent_text = segment.partition("^")
+                try:
+                    exponent = int(exponent_text) if caret else 1
+                except ValueError:
+                    break
+                if symbol not in system.base_prefixes:
+                    break
+                pairs.append((symbol, exponent))
+            else:
+                return em_delta(PreUnit(ExponentMap(pairs), tail))
+        return None
+    ordered = sorted(system.base_prefixes, key=lambda s: (-len(s), s))
+
+    def chain_of(head):
+        chain = []
+        while head:
+            for symbol in ordered:
+                if head.startswith(symbol):
+                    chain.append(symbol)
+                    head = head[len(symbol):]
+                    break
+            else:
+                return None
+        return chain
+
+    suffixes = sorted(
+        (base for base in system.base_units if text.endswith(base) and base != text),
+        key=lambda s: (-len(s), s),
+    )
+    for base in suffixes:
+        chain = chain_of(text[: -len(base)])
+        if chain is not None:
+            return em_delta(PreUnit(ExponentMap((symbol, 1) for symbol in chain), base))
+    return None
+
+
+SIUK, _ = load_registry(bundled_registry("si"), bundled_registry("uk"))
+IDENTIFIER_PIECES = sorted(SIUK.base_prefixes) + sorted(SIUK.base_units) + [
+    "_", "^2", "^-1", "^", "x", "é",
+]
+
+
+@given(st.lists(st.sampled_from(IDENTIFIER_PIECES), min_size=1, max_size=6).map("".join))
+def test_identifier_resolution_matches_sorted_scan(text):
+    try:
+        resolved = _resolve_identifier(SIUK, text)
+    except UnknownIdentifierError:
+        resolved = None
+    assert resolved == sorted_scan_resolve(SIUK, text)
+
+
+@pytest.mark.parametrize(
+    "text", ["k" * 100_000 + "xm", "k_" * 50_000 + "xm"], ids=["greedy", "explicit"]
+)
+def test_long_identifier_is_rejected_in_bounded_time(text):
+    started = time.perf_counter()
+    with pytest.raises(UnknownIdentifierError):
+        parse_unit(SI, text)
+    assert time.perf_counter() - started < 2
