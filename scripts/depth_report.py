@@ -3,27 +3,21 @@
 
 For every base unit with a rule, shows its expansion depth (how many
 parallel rewriting passes until it is fully reduced) and the base units
-it transitively depends on. The maximum depth is the pass bound the
-rewriter uses for every conversion.
+it transitively depends on. The maximum depth is the number of one-step
+`rwr_eval` passes that reach every unit's normal form; conversions reach
+the same normal forms through a table compiled once, in depth order.
 """
 
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass
 
 from unical import analyze, load_registry, read_registry
 
 
-@dataclass
-class ReportConfig:
-    registries: tuple[str, ...] = ("si",)
-    include_pathological: bool = True
-
-
-def run(config: ReportConfig) -> None:
-    texts = [read_registry(item) for item in config.registries]
-    system, rules = load_registry(*texts, include_pathological=config.include_pathological)
+def run(registries: list[str], include_pathological: bool = True) -> None:
+    texts = [read_registry(item) for item in registries]
+    system, rules = load_registry(*texts, include_pathological=include_pathological)
     report = analyze(system, rules)
     if not report.well_founded:
         print("rules are not well-founded")
@@ -48,12 +42,7 @@ def main() -> None:
         help="skip rules flagged !pathological",
     )
     args = parser.parse_args()
-    run(
-        ReportConfig(
-            registries=tuple(args.registry or ("si",)),
-            include_pathological=not args.no_pathological_rules,
-        )
-    )
+    run(args.registry or ["si"], include_pathological=not args.no_pathological_rules)
 
 
 if __name__ == "__main__":

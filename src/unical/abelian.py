@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import total_ordering
 from typing import Any, Callable, Generic, Iterable, Iterator, TypeVar, Union
 
 __all__ = [
@@ -34,6 +35,7 @@ T = TypeVar("T")
 Entries = Union[Mapping[Any, int], Iterable[tuple[Any, int]]]
 
 
+@total_ordering
 class ExponentMap:
     """Immutable finitely supported map from generators to nonzero integers.
 
@@ -99,21 +101,6 @@ class ExponentMap:
         if not isinstance(other, ExponentMap):
             return NotImplemented
         return self._entries < other._entries
-
-    def __le__(self, other: "ExponentMap") -> bool:
-        if not isinstance(other, ExponentMap):
-            return NotImplemented
-        return self._entries <= other._entries
-
-    def __gt__(self, other: "ExponentMap") -> bool:
-        if not isinstance(other, ExponentMap):
-            return NotImplemented
-        return self._entries > other._entries
-
-    def __ge__(self, other: "ExponentMap") -> bool:
-        if not isinstance(other, ExponentMap):
-            return NotImplemented
-        return self._entries >= other._entries
 
     def __mul__(self, other: "ExponentMap") -> "ExponentMap":
         if not isinstance(other, ExponentMap):

@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from .abelian import em_inv, em_mul
@@ -32,9 +31,7 @@ from .numeric import MAX_DECIMAL_DIGITS, RatioError, ratio_text, ratio_to_decima
 from .registry import (
     RegistryError,
     UnitSyntaxError,
-    build_system,
-    merge_documents,
-    parse_document,
+    load_registry,
     parse_unit,
     print_dimension,
     print_evaluated,
@@ -45,17 +42,7 @@ from .registry import (
     read_registry,
 )
 
-__all__ = [
-    "CliConfig",
-    "cmd_classify",
-    "cmd_convert",
-    "cmd_dim",
-    "cmd_eval",
-    "cmd_explain",
-    "cmd_list",
-    "cmd_norm",
-    "main",
-]
+__all__ = ["main"]
 
 SCHEMA = "unical-cli/1"
 
@@ -66,170 +53,96 @@ EXIT_NOT_WELL_DEFINING = 3
 
 REGISTRY_ENV_VAR = "UNICAL_REGISTRY"
 
-
-@dataclass
-class CliConfig:
-    """Settings shared by every command."""
-
-    registries: tuple[str, ...] = ("si",)
-    output: str = "plain"  # "plain" | "structured"
-    digits: int = 15
-    include_pathological: bool = True
-
-
-def _load(config: CliConfig) -> tuple[UnitSystem, DefiningConversion]:
-    documents = [parse_document(read_registry(item)) for item in config.registries]
-    return build_system(
-        merge_documents(documents), include_pathological=config.include_pathological
-    )
-
-
-def _emit(config: CliConfig, fields: dict, lines: list[str]) -> None:
-    if config.output == "structured":
-        print(json.dumps({"schema": SCHEMA, **fields}, sort_keys=True, ensure_ascii=False))
-    else:
-        print("\n".join(lines))
-
-
-def _fail(error: Exception, code: int) -> int:
-    print(f"error: {error}", file=sys.stderr)
-    return code
-
-
 _INPUT_ERRORS = (RegistryError, UnitSyntaxError, UnknownSymbolError, RatioError, OSError)
 
+# A command body takes the loaded system, its rules and the parsed
+# arguments, and returns (exit code, structured fields, plain lines).
+Outcome = tuple[int, dict, list[str]]
 
-def cmd_convert(u_text: str, v_text: str, config: CliConfig) -> int:
-    try:
-        system, rules = _load(config)
-        source = parse_unit(system, u_text)
-        target = parse_unit(system, v_text)
-        expanded_source = rwr_star(system, rules, source)
-        expanded_target = rwr_star(system, rules, target)
-    except _INPUT_ERRORS as error:
-        return _fail(error, EXIT_BAD_INPUT)
-    except NotWellDefiningError as error:
-        return _fail(error, EXIT_NOT_WELL_DEFINING)
+
+def _convert(system: UnitSystem, rules: DefiningConversion, args: argparse.Namespace) -> Outcome:
+    # Both units are parsed before either is rewritten, so a syntax error
+    # wins over cyclic rules.
+    source = parse_unit(system, args.source)
+    target = parse_unit(system, args.target)
+    expanded_source = rwr_star(system, rules, source)
+    expanded_target = rwr_star(system, rules, target)
+    root = print_root(expanded_source.root)
     if expanded_source.root != expanded_target.root:
-        difference = em_mul(expanded_source.root, em_inv(expanded_target.root))
-        _emit(
-            config,
-            {
-                "command": "convert",
-                "convertible": False,
-                "source_root": print_root(expanded_source.root),
-                "target_root": print_root(expanded_target.root),
-                "difference": print_root(difference),
-            },
-            [
-                "not convertible",
-                f"source root: {print_root(expanded_source.root)}",
-                f"target root: {print_root(expanded_target.root)}",
-                f"difference: {print_root(difference)}",
-            ],
-        )
-        return EXIT_NOT_CONVERTIBLE
+        target_root = print_root(expanded_target.root)
+        difference = print_root(em_mul(expanded_source.root, em_inv(expanded_target.root)))
+        fields = {"source_root": root, "target_root": target_root, "difference": difference}
+        lines = [f"source root: {root}", f"target root: {target_root}", f"difference: {difference}"]
+        return EXIT_NOT_CONVERTIBLE, {"convertible": False, **fields}, ["not convertible", *lines]
     ratio = expanded_source.factor / expanded_target.factor
-    decimal, exact = ratio_to_decimal(ratio, config.digits)
-    _emit(
-        config,
-        {
-            "command": "convert",
-            "convertible": True,
-            "ratio": ratio_text(ratio),
-            "ratio_num": ratio.numerator,
-            "ratio_den": ratio.denominator,
-            "decimal": decimal,
-            "decimal_exact": exact,
-            "root": print_root(expanded_source.root),
-            "source": print_evaluated(system, expanded_source),
-            "target": print_evaluated(system, expanded_target),
-        },
-        [
-            f"ratio: {ratio_text(ratio)}",
-            f"decimal: {decimal}",
-            f"exact: {'yes' if exact else 'no'}",
-            f"source: {print_evaluated(system, expanded_source)}",
-            f"target: {print_evaluated(system, expanded_target)}",
-        ],
+    decimal, exact = ratio_to_decimal(ratio, args.digits)
+    text = ratio_text(ratio)
+    source_text = print_evaluated(system, expanded_source)
+    target_text = print_evaluated(system, expanded_target)
+    fields = {
+        "convertible": True,
+        "ratio": text,
+        "ratio_num": ratio.numerator,
+        "ratio_den": ratio.denominator,
+        "decimal": decimal,
+        "decimal_exact": exact,
+        "root": root,
+        "source": source_text,
+        "target": target_text,
+    }
+    lines = [
+        f"ratio: {text}",
+        f"decimal: {decimal}",
+        f"exact: {'yes' if exact else 'no'}",
+        f"source: {source_text}",
+        f"target: {target_text}",
+    ]
+    return EXIT_OK, fields, lines
+
+
+def _norm(system: UnitSystem, rules: DefiningConversion, args: argparse.Namespace) -> Outcome:
+    normalized = norm(system, parse_unit(system, args.unit))
+    prefix = print_prefix(normalized.prefix)
+    root = print_root(normalized.root)
+    paired = print_normalized(system, normalized)
+    return (
+        EXIT_OK,
+        {"prefix": prefix, "root": root, "normalized": paired},
+        [f"prefix: {prefix}", f"root: {root}", f"normalized: {paired}"],
     )
-    return EXIT_OK
 
 
-def cmd_norm(u_text: str, config: CliConfig) -> int:
-    try:
-        system, _ = _load(config)
-        normalized = norm(system, parse_unit(system, u_text))
-    except _INPUT_ERRORS as error:
-        return _fail(error, EXIT_BAD_INPUT)
-    _emit(
-        config,
-        {
-            "command": "norm",
-            "prefix": print_prefix(normalized.prefix),
-            "root": print_root(normalized.root),
-            "normalized": print_normalized(system, normalized),
-        },
-        [
-            f"prefix: {print_prefix(normalized.prefix)}",
-            f"root: {print_root(normalized.root)}",
-            f"normalized: {print_normalized(system, normalized)}",
-        ],
-    )
-    return EXIT_OK
+def _eval(system: UnitSystem, rules: DefiningConversion, args: argparse.Namespace) -> Outcome:
+    evaluated = evaluate(system, parse_unit(system, args.unit))
+    decimal, exact = ratio_to_decimal(evaluated.factor, args.digits)
+    factor = ratio_text(evaluated.factor)
+    root = print_root(evaluated.root)
+    fields = {
+        "factor": factor,
+        "factor_num": evaluated.factor.numerator,
+        "factor_den": evaluated.factor.denominator,
+        "decimal": decimal,
+        "decimal_exact": exact,
+        "root": root,
+        "evaluated": print_evaluated(system, evaluated),
+    }
+    lines = [
+        f"factor: {factor}",
+        f"decimal: {decimal}",
+        f"exact: {'yes' if exact else 'no'}",
+        f"root: {root}",
+    ]
+    return EXIT_OK, fields, lines
 
 
-def cmd_eval(u_text: str, config: CliConfig) -> int:
-    try:
-        system, _ = _load(config)
-        evaluated = evaluate(system, parse_unit(system, u_text))
-        decimal, exact = ratio_to_decimal(evaluated.factor, config.digits)
-    except _INPUT_ERRORS as error:
-        return _fail(error, EXIT_BAD_INPUT)
-    _emit(
-        config,
-        {
-            "command": "eval",
-            "factor": ratio_text(evaluated.factor),
-            "factor_num": evaluated.factor.numerator,
-            "factor_den": evaluated.factor.denominator,
-            "decimal": decimal,
-            "decimal_exact": exact,
-            "root": print_root(evaluated.root),
-            "evaluated": print_evaluated(system, evaluated),
-        },
-        [
-            f"factor: {ratio_text(evaluated.factor)}",
-            f"decimal: {decimal}",
-            f"exact: {'yes' if exact else 'no'}",
-            f"root: {print_root(evaluated.root)}",
-        ],
-    )
-    return EXIT_OK
+def _dim(system: UnitSystem, rules: DefiningConversion, args: argparse.Namespace) -> Outcome:
+    dimension = print_dimension(dim(system, parse_unit(system, args.unit)))
+    return EXIT_OK, {"dimension": dimension}, [f"dimension: {dimension}"]
 
 
-def cmd_dim(u_text: str, config: CliConfig) -> int:
-    try:
-        system, _ = _load(config)
-        dimension = dim(system, parse_unit(system, u_text))
-    except _INPUT_ERRORS as error:
-        return _fail(error, EXIT_BAD_INPUT)
-    _emit(
-        config,
-        {"command": "dim", "dimension": print_dimension(dimension)},
-        [f"dimension: {print_dimension(dimension)}"],
-    )
-    return EXIT_OK
-
-
-def cmd_classify(config: CliConfig) -> int:
-    try:
-        system, rules = _load(config)
-        report = classify(system, rules)
-    except _INPUT_ERRORS as error:
-        return _fail(error, EXIT_BAD_INPUT)
-    flags = {
-        "command": "classify",
+def _classify(system: UnitSystem, rules: DefiningConversion, args: argparse.Namespace) -> Outcome:
+    report = classify(system, rules)
+    fields = {
         "defining": report.is_defining,
         "well_defining": report.is_well_defining,
         "regular": report.is_regular,
@@ -242,33 +155,29 @@ def cmd_classify(config: CliConfig) -> int:
         f"consistency: {report.consistency}",
     ]
     if report.iteration_bound is not None:
-        flags["iteration_bound"] = report.iteration_bound
+        fields["iteration_bound"] = report.iteration_bound
         lines.append(f"iteration bound: {report.iteration_bound}")
     if report.cycle_witness is not None:
         cycle = " > ".join(report.cycle_witness)
-        flags["cycle"] = cycle
+        fields["cycle"] = cycle
         lines.append(f"cycle: {cycle}")
     if report.witness is not None:
         witness = (
             f"{print_unit(system, report.witness.source)} = "
             f"{ratio_text(report.witness.ratio)} * {print_unit(system, report.witness.target)}"
         )
-        flags["witness"] = witness
+        fields["witness"] = witness
         lines.append(f"witness: {witness}")
-    _emit(config, flags, lines)
-    return EXIT_OK
+    return EXIT_OK, fields, lines
 
 
-def cmd_explain(u_text: str, config: CliConfig) -> int:
-    try:
-        system, rules = _load(config)
-        unit = parse_unit(system, u_text)
-    except _INPUT_ERRORS as error:
-        return _fail(error, EXIT_BAD_INPUT)
+def _explain(system: UnitSystem, rules: DefiningConversion, args: argparse.Namespace) -> Outcome:
+    unit = parse_unit(system, args.unit)
     report = analyze(system, rules)
     if not report.well_founded:
-        return _fail(NotWellDefiningError(report.cycle_witness), EXIT_NOT_WELL_DEFINING)
+        raise NotWellDefiningError(report.cycle_witness)
     state = evaluate(system, unit)
+    start = print_evaluated(system, state)
     steps = []
     for _ in range(report.iteration_bound):
         advanced = rwr_eval(system, rules, state)
@@ -276,41 +185,37 @@ def cmd_explain(u_text: str, config: CliConfig) -> int:
             break
         state = advanced
         steps.append(print_evaluated(system, state))
-    start = print_evaluated(system, evaluate(system, unit))
+    fixpoint = print_evaluated(system, state)
     lines = [f"eval: {start}"]
     lines.extend(f"step {index}: {text}" for index, text in enumerate(steps, start=1))
-    lines.append(f"fixpoint: {print_evaluated(system, state)}")
-    _emit(
-        config,
-        {
-            "command": "explain",
-            "eval": start,
-            "steps": steps,
-            "fixpoint": print_evaluated(system, state),
-        },
-        lines,
-    )
-    return EXIT_OK
+    lines.append(f"fixpoint: {fixpoint}")
+    return EXIT_OK, {"eval": start, "steps": steps, "fixpoint": fixpoint}, lines
 
 
-def cmd_list(kind: str, config: CliConfig) -> int:
-    try:
-        system, _ = _load(config)
-    except _INPUT_ERRORS as error:
-        return _fail(error, EXIT_BAD_INPUT)
-    if kind == "units":
+def _list(system: UnitSystem, rules: DefiningConversion, args: argparse.Namespace) -> Outcome:
+    if args.kind == "units":
         entries = [
             f"{symbol} {print_dimension(dimension)}"
             for symbol, dimension in sorted(system.base_units.items())
         ]
-    elif kind == "prefixes":
+    elif args.kind == "prefixes":
         entries = [
             f"{symbol} {ratio_text(value)}" for symbol, value in sorted(system.base_prefixes.items())
         ]
     else:
         entries = sorted(system.base_dimensions)
-    _emit(config, {"command": "list", "kind": kind, "entries": entries}, entries)
-    return EXIT_OK
+    return EXIT_OK, {"kind": args.kind, "entries": entries}, entries
+
+
+_COMMANDS = {
+    "convert": _convert,
+    "norm": _norm,
+    "eval": _eval,
+    "dim": _dim,
+    "classify": _classify,
+    "explain": _explain,
+    "list": _list,
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -319,7 +224,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--registry",
         action="append",
         metavar="PATH",
-        help="registry file or bundled name (si, uk); repeatable, later files extend earlier "
+        help="registry file or bundled name (si, uk); a bundled name wins over a file of that "
+        "name, which ./si still reaches; repeatable, later files extend earlier "
         f"(default: ${REGISTRY_ENV_VAR} or si)",
     )
     shared.add_argument(
@@ -359,40 +265,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(args: argparse.Namespace) -> CliConfig:
+def main(argv: Optional[list[str]] = None) -> int:
+    args = _build_parser().parse_args(argv)
     registries = args.registry
     if not registries:
         env = os.environ.get(REGISTRY_ENV_VAR, "")
         registries = [item for item in env.split(os.pathsep) if item] or ["si"]
-    return CliConfig(
-        registries=tuple(registries),
-        output=args.format,
-        digits=args.digits,
-        include_pathological=not args.no_pathological_rules,
-    )
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    config = _config_from(args)
-    if not 0 <= config.digits <= MAX_DECIMAL_DIGITS:
-        print(
-            f"error: --digits must be between 0 and {MAX_DECIMAL_DIGITS}", file=sys.stderr
-        )
+    if not 0 <= args.digits <= MAX_DECIMAL_DIGITS:
+        print(f"error: --digits must be between 0 and {MAX_DECIMAL_DIGITS}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    if args.command == "convert":
-        return cmd_convert(args.source, args.target, config)
-    if args.command == "norm":
-        return cmd_norm(args.unit, config)
-    if args.command == "eval":
-        return cmd_eval(args.unit, config)
-    if args.command == "dim":
-        return cmd_dim(args.unit, config)
-    if args.command == "classify":
-        return cmd_classify(config)
-    if args.command == "explain":
-        return cmd_explain(args.unit, config)
-    return cmd_list(args.kind, config)
+    try:
+        system, rules = load_registry(
+            *[read_registry(item) for item in registries],
+            include_pathological=not args.no_pathological_rules,
+        )
+        code, fields, lines = _COMMANDS[args.command](system, rules, args)
+    except _INPUT_ERRORS as error:
+        print(f"error: {error}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except NotWellDefiningError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return EXIT_NOT_WELL_DEFINING
+    if args.format == "structured":
+        payload = {"schema": SCHEMA, "command": args.command, **fields}
+        print(json.dumps(payload, sort_keys=True, ensure_ascii=False))
+    else:
+        print("\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from types import MappingProxyType
 from typing import Any, Iterable, Mapping
 
@@ -77,6 +78,7 @@ class UnknownSymbolError(LookupError):
     """A symbol is not registered in the unit system at hand."""
 
 
+@total_ordering
 @dataclass(frozen=True)
 class PreUnit:
     """A base-unit symbol under a prefix word.
@@ -93,21 +95,6 @@ class PreUnit:
         if not isinstance(other, PreUnit):
             return NotImplemented
         return (self.base, self.prefix) < (other.base, other.prefix)
-
-    def __le__(self, other: "PreUnit") -> bool:
-        if not isinstance(other, PreUnit):
-            return NotImplemented
-        return (self.base, self.prefix) <= (other.base, other.prefix)
-
-    def __gt__(self, other: "PreUnit") -> bool:
-        if not isinstance(other, PreUnit):
-            return NotImplemented
-        return (self.base, self.prefix) > (other.base, other.prefix)
-
-    def __ge__(self, other: "PreUnit") -> bool:
-        if not isinstance(other, PreUnit):
-            return NotImplemented
-        return (self.base, self.prefix) >= (other.base, other.prefix)
 
 
 @dataclass(frozen=True)

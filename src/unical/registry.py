@@ -584,7 +584,9 @@ def build_system(
             defining_conversion(system, {entry.base: rule_map[entry.base]})
         except (RuleError, UnknownSymbolError) as error:
             raise RegistryError(str(error), entry.line) from None
-    return system, defining_conversion(system, rule_map)
+    # Each rule is checked on its own above, with its line; no check spans
+    # two rules, so the checked map is frozen as it is, in symbol order.
+    return system, DefiningConversion(dict(sorted(rule_map.items())))
 
 
 def load_registry(*texts: str, include_pathological: bool = True) -> tuple[UnitSystem, DefiningConversion]:
@@ -605,12 +607,16 @@ def bundled_registry(name: str) -> str:
 
 
 def read_registry(item: str) -> str:
-    """Text of a registry given as a file path or a bundled name."""
+    """Text of a registry given as a bundled name or a file path.
+
+    A bundled name wins over a file of the same name in the working
+    directory; such a file is still reachable as `./si`.
+    """
+    if item in BUNDLED_REGISTRIES:
+        return bundled_registry(item)
     if os.path.exists(item):
         with open(item, "r", encoding="utf-8") as handle:
             return handle.read()
-    if item in BUNDLED_REGISTRIES:
-        return bundled_registry(item)
     raise RegistryError(
         f"registry {item!r} is neither a readable file nor one of the bundled names "
         f"({', '.join(BUNDLED_REGISTRIES)})"

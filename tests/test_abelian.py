@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,15 @@ ratios = st.fractions(min_value=Fraction(1, 60), max_value=Fraction(60)).filter(
 weighted_pairs = st.dictionaries(
     st.tuples(ratios, generators), nonzero, max_size=4
 ).map(ExponentMap)
+
+
+@given(maps, maps)
+def test_ordering_follows_canonical_items(f, g):
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        assert compare(f, g) == compare(f.items(), g.items())
+        assert compare(f, f) == compare(f.items(), f.items())
+        with pytest.raises(TypeError):
+            compare(f, g.items())
 
 
 def test_constructor_sums_duplicates_and_drops_zeros():

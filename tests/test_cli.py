@@ -112,6 +112,12 @@ def test_cyclic_rules_exit_three(capsys, cyclic_path):
     assert code == 3
 
 
+def test_parse_errors_come_before_the_cycle_check(capsys, cyclic_path):
+    for argv in (("convert", "a", "zz"), ("explain", "zz")):
+        code, out, err = run(capsys, *argv, "--registry", cyclic_path)
+        assert code == 2 and not out and "zz" in err
+
+
 def test_classify_reports_cycle_without_failing(capsys, cyclic_path):
     code, payload, _ = run_json(capsys, "classify", "--registry", cyclic_path)
     assert code == 0

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -47,6 +48,24 @@ def test_preunit_equality_and_order():
     assert plain == PreUnit(em_empty(), "m")
     assert plain != kilo
     assert sorted([kilo, plain, PreUnit(em_empty(), "g")])[0].base == "g"
+
+
+preunits = st.builds(
+    PreUnit,
+    st.dictionaries(st.sampled_from("kmd"), st.integers(-2, 2).filter(bool), max_size=2).map(
+        ExponentMap
+    ),
+    st.sampled_from(["g", "m", "s"]),
+)
+
+
+@given(preunits, preunits)
+def test_preunit_ordering_is_by_base_then_prefix(a, b):
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        assert compare(a, b) == compare((a.base, a.prefix), (b.base, b.prefix))
+        assert compare(a, a) == compare((a.base, a.prefix), (a.base, a.prefix))
+        with pytest.raises(TypeError):
+            compare(a, (b.base, b.prefix))
 
 
 def test_system_validates_prefix_values():

@@ -14,6 +14,7 @@ from unical import (
     UnknownIdentifierError,
     bundled_registry,
     build_system,
+    defining_conversion,
     em_delta,
     em_empty,
     load_registry,
@@ -28,6 +29,7 @@ from unical import (
     print_unit,
     evaluate,
     norm,
+    read_registry,
 )
 from unical.registry import _resolve_identifier
 from support import as_preunit, bare, random_unit, unit_of
@@ -142,6 +144,47 @@ def test_build_system_can_skip_pathological_rules():
 def test_load_registry_requires_at_least_one_text():
     with pytest.raises(RegistryError):
         load_registry()
+
+
+def test_build_system_rejects_a_dimension_changing_rule_with_its_line():
+    with pytest.raises(RegistryError) as info:
+        load_registry(bundled_registry("si"), "# retune\n[rules]\nm 1 s\n")
+    assert info.value.line == 3
+    assert "changes dimension" in str(info.value)
+
+
+def test_build_system_rules_match_whole_map_validation():
+    checked = defining_conversion(SI, dict(SI_RULES.rules))
+    assert list(SI_RULES.rules.items()) == list(checked.rules.items())
+
+
+def test_read_registry_reads_a_file_path(tmp_path):
+    path = tmp_path / "sample.reg"
+    path.write_text(SAMPLE, encoding="utf-8")
+    assert read_registry(str(path)) == SAMPLE
+
+
+def test_read_registry_reads_a_bundled_name():
+    for name in BUNDLED_REGISTRIES:
+        assert read_registry(name) == bundled_registry(name)
+
+
+def test_bundled_name_wins_over_a_same_named_local_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "si").write_text(SAMPLE, encoding="utf-8")
+    (tmp_path / "uk").mkdir()
+    assert read_registry("si") == bundled_registry("si")
+    assert read_registry("uk") == bundled_registry("uk")
+    assert read_registry("./si") == SAMPLE
+
+
+def test_read_registry_rejects_an_unknown_item(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(RegistryError) as info:
+        read_registry("missing-name")
+    assert str(info.value) == (
+        "registry 'missing-name' is neither a readable file nor one of the bundled names (si, uk)"
+    )
 
 
 def test_bundled_tables_have_the_documented_shape():
