@@ -6,6 +6,7 @@ most one rule per base-unit symbol, rewriting that symbol into a ratio
 times a replacement unit of the same dimension. This module analyzes the
 dependency order of such rule sets, rewrites units to their fully
 expanded evaluated form, decides convertibility with the exact factor,
+decides the consistency of cyclic rule sets by integer linear algebra,
 and explores the closure of arbitrary triple sets to hunt for
 inconsistency witnesses.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Union
 
@@ -31,7 +33,7 @@ from .model import (
     root,
     strip,
 )
-from .numeric import ONE, ratio_inv
+from .numeric import ONE, ratio_bits, ratio_check_bits, ratio_inv
 
 __all__ = [
     "ClassificationReport",
@@ -387,21 +389,30 @@ def check_triples(
     return None
 
 
+_CLOSURE_BOUNDS = ("max_steps", "max_word", "max_triples")
+
+
 @dataclass(frozen=True)
 class ClosureExploration:
     """Bounded fragment of a triple set's closure.
 
     `witness` holds a triple relating the empty unit to itself at a ratio
     other than one, when one was found: such a triple makes every related
-    pair of units convertible at contradictory factors. `truncated`
-    records that some closure members were cut off by the word-size,
-    round, or population bounds, so absence of a witness is not a proof
-    of consistency.
+    pair of units convertible at contradictory factors. `bounds_hit`
+    names each bound that cut closure members off, in the order
+    ("max_steps", "max_word", "max_triples"): the rounds ran out before
+    saturation, a candidate's words were too long, the population was
+    full. `truncated` says whether any did; then the absence of a witness
+    is not a proof of consistency.
     """
 
     triples: frozenset[ConvTriple]
     witness: Optional[ConvTriple]
-    truncated: bool
+    bounds_hit: tuple[str, ...]
+
+    @property
+    def truncated(self) -> bool:
+        return bool(self.bounds_hit)
 
 
 def _word_size(triple: ConvTriple) -> int:
@@ -440,17 +451,16 @@ def explore_closure(
     """
     identity = ConvTriple(em_empty(), ONE, em_empty())
     working: set[ConvTriple] = set()
-    truncated = False
+    hit: set[str] = set()
 
     def admit(candidate: ConvTriple, into: set[ConvTriple]) -> None:
-        nonlocal truncated
         if candidate in working or candidate in into:
             return
         if _word_size(candidate) > max_word:
-            truncated = True
+            hit.add("max_word")
             return
         if len(working) + len(into) >= max_triples:
-            truncated = True
+            hit.add("max_triples")
             return
         into.add(candidate)
 
@@ -505,7 +515,7 @@ def explore_closure(
         working |= fresh
         frontier = fresh
     if not saturated:
-        truncated = True
+        hit.add("max_steps")
 
     candidates = [t for t in working if _is_witness(t)]
     witness: Optional[ConvTriple] = None
@@ -522,8 +532,90 @@ def explore_closure(
     return ClosureExploration(
         triples=frozenset(working),
         witness=witness,
-        truncated=truncated,
+        bounds_hit=tuple(bound for bound in _CLOSURE_BOUNDS if bound in hit),
     )
+
+
+def _combine(x: int, left: Mapping, y: int, right: Mapping) -> dict:
+    """The integer combination x * left + y * right of two sparse vectors."""
+    out = {key: x * value for key, value in left.items()}
+    for key, value in right.items():
+        total = out.get(key, 0) + y * value
+        if total:
+            out[key] = total
+        else:
+            out.pop(key, None)
+    return out
+
+
+def _relation_basis(vectors: list[dict[str, int]]) -> list[dict[int, int]]:
+    """A basis over Q of the integer relations among sparse integer vectors.
+
+    Each relation maps vector indices to primitive integer coefficients
+    whose combination of the vectors is zero. Fraction-free Gaussian
+    elimination: every row carries the combination of vectors it equals
+    and is divided by the content of both, so it stays small and
+    integral. A row that reduces to zero yields its combination. That
+    combination holds its own vector with a nonzero coefficient and
+    otherwise only earlier ones, so the relations are independent, and
+    there is one per vector that adds no rank.
+    """
+    pivots: dict[str, tuple[dict[str, int], dict[int, int]]] = {}
+    basis: list[dict[int, int]] = []
+    for index, vector in enumerate(vectors):
+        row, combination = vector, {index: 1}
+        while row:
+            symbol = min(row)
+            if symbol not in pivots:
+                pivots[symbol] = (row, combination)
+                break
+            pivot_row, pivot_combination = pivots[symbol]
+            a, b = row[symbol], pivot_row[symbol]
+            row = _combine(b, row, -a, pivot_row)
+            combination = _combine(b, combination, -a, pivot_combination)
+            content = gcd(*row.values(), *combination.values())
+            row = {key: value // content for key, value in row.items()}
+            combination = {key: value // content for key, value in combination.items()}
+        if not row:
+            basis.append(combination)
+    return basis
+
+
+def _relation_witness(system: UnitSystem, conversion: DefiningConversion) -> Optional[ConvTriple]:
+    """An inconsistency witness of a defining rule set, or None when there is none.
+
+    Mapping a triple (s, r, t) to (r * f_t / f_s, root(s) - root(t)), with
+    f the prefix value, is a group homomorphism that sends every
+    prefix-stripping triple to the identity. The closure therefore holds
+    a witness exactly when some integer relation c among the rules' root
+    vectors v_i = e_base - root(replacement) has a ratio product
+    prod r_i^c_i other than one, with r_i = ratio * f_replacement. The
+    positive rationals are torsion-free, so testing a basis over Q of the
+    relations decides it (H. Cohen, A Course in Computational Algebraic
+    Number Theory, ch. 2). The first product other than one, taken above
+    one, is the witness ratio. Each product's size is bounded from the
+    coefficients before it is computed; past MAX_RATIO_BITS it raises
+    RatioError.
+    """
+    ratios: list[Fraction] = []
+    vectors: list[dict[str, int]] = []
+    for base, (ratio, replacement) in sorted(conversion.rules.items()):
+        expanded = evaluate(system, replacement)
+        ratios.append(ratio * expanded.factor)
+        vector = {symbol: -z for symbol, z in expanded.root.items()}
+        vector[base] = vector.get(base, 0) + 1
+        vectors.append({symbol: z for symbol, z in vector.items() if z})
+    for relation in _relation_basis(vectors):
+        ratio_check_bits(
+            sum(abs(c) * ratio_bits(ratios[i]) for i, c in relation.items() if ratios[i] != 1),
+            "ratio product of a rule cycle",
+        )
+        product = ONE
+        for i, c in relation.items():
+            product *= ratios[i] ** c
+        if product != 1:
+            return ConvTriple(em_empty(), max(product, 1 / product), em_empty())
+    return None
 
 
 @dataclass(frozen=True)
@@ -533,7 +625,10 @@ class ClassificationReport:
     is_defining: bool
     is_well_defining: bool
     is_regular: bool
-    consistency: str  # "guaranteed" | "witness_found" | "unknown"
+    # "guaranteed" | "witness_found" | "unknown"; only a mapping that is
+    # not defining, whose consistency comes from a bounded closure
+    # exploration, can be "unknown".
+    consistency: str
     witness: Optional[ConvTriple] = None
     cycle_witness: Optional[tuple[str, ...]] = None
     iteration_bound: Optional[int] = None
@@ -548,11 +643,17 @@ def classify(
     """Classify a rule set: defining, well-defining, regular, consistent.
 
     Regular means no rules at all. Well-defining (defining with
-    well-founded dependencies) guarantees consistency. Outside that
-    hierarchy a bounded closure exploration looks for an inconsistency
-    witness; "unknown" means the exploration was truncated without
-    finding one. Rule sets too broken to interpret at all (unknown
-    symbols, malformed ratios or replacements) raise instead.
+    well-founded dependencies) guarantees consistency. A defining rule
+    set with cyclic dependencies is decided exactly, by the integer
+    relations among its evaluated rules: "witness_found" with a witness
+    relating the empty unit to itself at a ratio above one, or
+    "guaranteed". Only a mapping that is not defining (a rule changes
+    dimension) is left to a closure exploration bounded by `max_steps`
+    and `max_word`, so only it can come back "unknown": the exploration
+    was truncated without finding a witness. Rule sets too broken to
+    interpret at all (unknown symbols, malformed ratios or replacements)
+    raise instead, and so does a cycle whose ratio product would need
+    more than MAX_RATIO_BITS bits (RatioError).
     """
     if isinstance(rules, DefiningConversion):
         mapping: Mapping[str, tuple] = rules.rules
@@ -574,9 +675,15 @@ def classify(
                 consistency="guaranteed",
                 iteration_bound=report.iteration_bound,
             )
-        cycle = report.cycle_witness
-    else:
-        cycle = None
+        witness = _relation_witness(system, checked)
+        return ClassificationReport(
+            is_defining=True,
+            is_well_defining=False,
+            is_regular=is_regular,
+            consistency="guaranteed" if witness is None else "witness_found",
+            witness=witness,
+            cycle_witness=report.cycle_witness,
+        )
     exploration = explore_closure(system, checked.triples(), max_steps, max_word)
     if exploration.witness is not None:
         consistency = "witness_found"
@@ -585,10 +692,9 @@ def classify(
     else:
         consistency = "guaranteed"
     return ClassificationReport(
-        is_defining=is_defining,
+        is_defining=False,
         is_well_defining=False,
         is_regular=is_regular,
         consistency=consistency,
         witness=exploration.witness,
-        cycle_witness=cycle,
     )

@@ -11,12 +11,14 @@ from unical import (
     PreUnit,
     UnitSystem,
     defining_conversion,
+    em_delta,
     em_empty,
     em_mul,
     em_pow,
     evaluate,
     prefix_unit,
     rwr_eval,
+    val,
 )
 
 TEST_PREFIXES = {
@@ -111,6 +113,46 @@ def random_chain_system(rng, base_count, rule_count, prefix_chance=0.3):
         ratio = Fraction(rng.randint(1, 9), rng.randint(1, 9))
         rules[bases[index]] = (ratio, replacement)
     return system, defining_conversion(system, rules), bases
+
+
+_INJECTED_FACTORS = tuple(Fraction(*pair) for pair in ((2, 1), (3, 1), (1, 2), (3, 2), (2, 3), (5, 4), (7, 9)))
+
+
+def _small_ratio(rng):
+    return Fraction(rng.randint(1, 9), rng.randint(1, 9))
+
+
+def random_cyclic_system(rng, consistent, prefix_chance=0.3):
+    """A random defining system whose rules hold exactly one dependency cycle.
+
+    Bases c0..c(k-1) form the cycle: the rule for c(i) rewrites it into
+    c(i+1), behind a random prefix word with `prefix_chance`, at a random
+    ratio, and the last rule closes the cycle at one over the product of
+    every ratio and prefix value met before it, so one trip round the
+    cycle multiplies by exactly one. When not `consistent` the closing
+    ratio carries an extra factor other than one. Feeder bases f0.. get
+    rules into the cycle; no rule mentions a feeder, so the only integer
+    relation among the rules is one trip round the cycle, and its ratio
+    product is the factor.
+
+    Returns (system, rules, factor), with factor 1 when consistent.
+    """
+    cycle = [f"c{i}" for i in range(rng.randint(1, 4))]
+    feeders = [f"f{i}" for i in range(rng.randint(0, 2))]
+    system = dimensionless_system(cycle + feeders)
+    factor = Fraction(1) if consistent else rng.choice(_INJECTED_FACTORS)
+    rules = {}
+    product = Fraction(1)
+    for index, base in enumerate(cycle):
+        word = random_prefix_word(rng, system) if rng.random() < prefix_chance else em_empty()
+        product *= val(system, word)
+        ratio = factor / product if index == len(cycle) - 1 else _small_ratio(rng)
+        product *= ratio
+        rules[base] = (ratio, em_delta(PreUnit(word, cycle[(index + 1) % len(cycle)])))
+    cycle_system = dimensionless_system(cycle)
+    for base in feeders:
+        rules[base] = (_small_ratio(rng), random_unit(rng, cycle_system, max_parts=2, prefix_chance=prefix_chance))
+    return system, defining_conversion(system, rules), factor
 
 
 def random_integer_map(rng, generators, max_entries=4, span=5):

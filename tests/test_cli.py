@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,25 @@ b D
 [rules]
 a 2 b
 b 3 a
+"""
+
+
+# Each term of the first rule is one base unit, but cancelling round the
+# cycle takes the second rule 10^8 times, so the witness ratio would be
+# 3 * 2^(10^8).
+HUGE_CYCLE_TEXT = """\
+[dimensions]
+D
+
+[units]
+a D
+b D
+c D
+
+[rules]
+a 3 b^100000000*c^-99999999
+b 2 c
+c 1 a
 """
 
 
@@ -125,6 +145,36 @@ def test_classify_reports_cycle_without_failing(capsys, cyclic_path):
     assert payload["consistency"] == "witness_found"
     assert payload["cycle"] == "a > b"
     assert payload["witness"] == "1 = 6 * 1"
+
+
+def run_within_a_second(capsys, *argv):
+    start = time.perf_counter()
+    outcome = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    return outcome
+
+
+def test_classify_decides_si_with_one_cyclic_rule(capsys, tmp_path):
+    extra = tmp_path / "cyclic-second.reg"
+    extra.write_text("[rules]\ns 2 Hz^-1\n", encoding="utf-8")
+    code, out, _ = run_within_a_second(capsys, "classify", "--registry", "si", "--registry", str(extra))
+    assert code == 0
+    assert "consistency: witness_found" in out.splitlines()
+    assert "witness: 1 = 2 * 1" in out.splitlines()
+
+
+def test_classify_refuses_a_witness_past_the_ratio_limit(capsys, tmp_path):
+    registry = tmp_path / "huge-cycle.reg"
+    registry.write_text(HUGE_CYCLE_TEXT, encoding="utf-8")
+    code, out, err = run_within_a_second(capsys, "classify", "--registry", str(registry))
+    assert code == 2 and not out and "MAX_RATIO_BITS" in err
+
+
+def test_ratios_past_the_limit_exit_two(capsys):
+    code, out, err = run_within_a_second(capsys, "eval", "Ym^200")
+    assert code == 2 and not out and "MAX_RATIO_BITS" in err
+    code, out, err = run_within_a_second(capsys, "convert", "Ym^200", "m^200", "--format", "structured")
+    assert code == 2 and not out and "MAX_RATIO_BITS" in err
 
 
 def test_classify_bundled_registry(capsys):

@@ -40,6 +40,7 @@ from support import (
     dimensionless_system,
     exhaust,
     random_chain_system,
+    random_cyclic_system,
     random_unit,
     unit_of,
 )
@@ -353,6 +354,22 @@ def test_explore_closure_truncates_at_population_cap():
     result = explore_closure(system, [seed], max_steps=4, max_word=12, max_triples=4)
     assert result.truncated
     assert len(result.triples) <= 4
+    assert "max_triples" in result.bounds_hit
+
+
+def test_explore_closure_names_the_step_bound():
+    system = dimensionless_system(["x", "y"])
+    seed = ConvTriple(bare("x"), Fraction(2), bare("y"))
+    result = explore_closure(system, [seed], max_steps=1, max_word=12, max_triples=4000)
+    assert result.bounds_hit == ("max_steps",) and result.truncated
+
+
+def test_explore_closure_names_the_word_bound():
+    system = dimensionless_system(["x", "y"])
+    seed = ConvTriple(bare("x"), Fraction(2), bare("y"))
+    result = explore_closure(system, [seed], max_steps=10, max_word=2, max_triples=4000)
+    assert result.bounds_hit == ("max_word",) and result.truncated
+    assert explore_closure(system, [], max_steps=2).bounds_hit == ()
 
 
 def test_explore_closure_is_deterministic():
@@ -401,3 +418,51 @@ def test_classify_rejects_uninterpretable_rules():
         classify(SI, {"m": (Fraction(1), "gibberish")})
     with pytest.raises((RuleError, UnknownSymbolError)):
         classify(SI, {"nope": (Fraction(1), em_empty())})
+
+
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_classify_decides_random_cycles(rng, consistent):
+    system, rules, factor = random_cyclic_system(rng, consistent)
+    report = classify(system, rules)
+    assert report.is_defining and not report.is_well_defining
+    assert report.cycle_witness is not None
+    if consistent:
+        assert report.consistency == "guaranteed" and report.witness is None
+    else:
+        assert report.consistency == "witness_found"
+        assert report.witness == ConvTriple(em_empty(), max(factor, 1 / factor), em_empty())
+
+
+def _random_rule_system(rng):
+    """Two or three dimensionless bases, most with a rule to a random unit."""
+    system = dimensionless_system(["x", "y", "z"][: rng.randint(2, 3)])
+    rules = {
+        base: (Fraction(rng.randint(1, 6), rng.randint(1, 6)), random_unit(rng, system, 2, 0.3, (-1, 1, 2)))
+        for base in sorted(system.base_units)
+        if rng.random() < 0.8
+    }
+    return system, defining_conversion(system, rules)
+
+
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_classify_agrees_with_closure_search(rng, single_cycle):
+    if single_cycle:
+        system, rules, _ = random_cyclic_system(rng, rng.random() < 0.5, prefix_chance=0.2)
+    else:
+        system, rules = _random_rule_system(rng)
+    report = classify(system, rules)
+    explored = explore_closure(system, rules.triples(), max_steps=2, max_word=4)
+    if explored.witness is not None:
+        assert report.consistency == "witness_found"
+    elif not explored.truncated:
+        assert report.consistency == "guaranteed"
+
+
+def test_classify_si_with_one_cyclic_rule(si_pair):
+    system, rules = si_pair
+    cyclic = defining_conversion(system, {**rules.rules, "s": (Fraction(2), parse_unit(system, "Hz^-1"))})
+    report = classify(system, cyclic, max_steps=1, max_word=1)
+    assert report.consistency == "witness_found"
+    assert report.witness == ConvTriple(em_empty(), Fraction(2), em_empty())
+    consistent = defining_conversion(system, {**rules.rules, "s": (Fraction(1), parse_unit(system, "Hz^-1"))})
+    assert classify(system, consistent).consistency == "guaranteed"

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from unical import RatioError, ratio_make, ratio_parse, ratio_text, ratio_to_decimal
-from unical.numeric import MAX_DECIMAL_DIGITS, ratio_inv, ratio_mul, ratio_pow
+from unical.numeric import MAX_DECIMAL_DIGITS, MAX_RATIO_BITS, ratio_inv, ratio_mul, ratio_pow
 
 positive_ratios = st.fractions(
     min_value=Fraction(1, 10**6), max_value=Fraction(10**6)
@@ -52,6 +52,29 @@ def test_parse_decimal():
 def test_parse_rejects_malformed(text):
     with pytest.raises(RatioError):
         ratio_parse(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["10^-10000000", "2^14000", "2^" + "9" * 5000, "7" * 5000, "1/" + "3" * 5000, "0." + "0" * 20000 + "1"],
+)
+def test_parse_refuses_ratios_past_the_limit(text):
+    with pytest.raises(RatioError, match="MAX_RATIO_BITS"):
+        ratio_parse(text)
+
+
+def test_ratio_limit_keeps_values_at_the_limit():
+    largest = Fraction(2**MAX_RATIO_BITS - 1)
+    assert ratio_parse(f"2^{MAX_RATIO_BITS - 1}") == 2 ** (MAX_RATIO_BITS - 1)
+    assert ratio_parse("1." + "0" * 100000) == 1
+    assert ratio_parse(ratio_text(1 / largest)) == 1 / largest
+    text, exact = ratio_to_decimal(largest, MAX_DECIMAL_DIGITS)
+    assert exact and Fraction(text) == largest
+    for over in (largest + 1, 1 / (largest + 1)):
+        with pytest.raises(RatioError, match="MAX_RATIO_BITS"):
+            ratio_text(over)
+        with pytest.raises(RatioError, match="MAX_RATIO_BITS"):
+            ratio_to_decimal(over)
 
 
 def test_text_forms():

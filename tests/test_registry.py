@@ -95,6 +95,9 @@ def test_build_rejects_bad_ratio_with_line():
     doc = parse_document("[prefixes]\nk 1000\nbad 0/3\n")
     with pytest.raises(RegistryError, match="line 3"):
         build_system(doc)
+    doc = parse_document("[prefixes]\nk 1000\nhuge 10^-10000000\n")
+    with pytest.raises(RegistryError, match="line 3.*MAX_RATIO_BITS"):
+        build_system(doc)
 
 
 def test_parse_document_reads_pathological_flag():
