@@ -6,9 +6,10 @@ most one rule per base-unit symbol, rewriting that symbol into a ratio
 times a replacement unit of the same dimension. This module analyzes the
 dependency order of such rule sets, rewrites units to their fully
 expanded evaluated form, decides convertibility with the exact factor,
-decides the consistency of cyclic rule sets by integer linear algebra,
-and explores the closure of arbitrary triple sets to hunt for
-inconsistency witnesses.
+decides the consistency of rule mappings by integer linear algebra, and
+explores the closure of arbitrary triple sets to hunt for inconsistency
+witnesses (the paper's bounded reference semantics, which `classify`
+does not use).
 """
 
 from __future__ import annotations
@@ -183,10 +184,22 @@ class DependencyReport:
     iteration_bound: Optional[int]
 
 
-def _find_cycle(direct: Mapping[str, tuple[str, ...]]) -> Optional[tuple[str, ...]]:
-    """First dependency cycle in deterministic visiting order, if any."""
+def _direct_dependencies(conversion: DefiningConversion) -> dict[str, tuple[str, ...]]:
+    return {
+        base: tuple(sorted(root(replacement).support()))
+        for base, (_, replacement) in conversion.rules.items()
+    }
+
+
+def _walk(direct: Mapping[str, tuple[str, ...]]) -> tuple[Optional[tuple[str, ...]], list[str]]:
+    """Iterative depth-first walk of the dependencies in deterministic order.
+
+    Returns the first cycle met, or None together with every ruled
+    symbol in post-order: each after all the ruled symbols it depends on.
+    """
     UNSEEN, ACTIVE, DONE = 0, 1, 2
     state = {base: UNSEEN for base in direct}
+    order: list[str] = []
     for start in sorted(direct):
         if state[start] != UNSEEN:
             continue
@@ -199,7 +212,7 @@ def _find_cycle(direct: Mapping[str, tuple[str, ...]]) -> Optional[tuple[str, ..
                 if successor not in direct:
                     continue
                 if state[successor] == ACTIVE:
-                    return tuple(path[path.index(successor):])
+                    return tuple(path[path.index(successor):]), []
                 if state[successor] == UNSEEN:
                     state[successor] = ACTIVE
                     path.append(successor)
@@ -207,17 +220,16 @@ def _find_cycle(direct: Mapping[str, tuple[str, ...]]) -> Optional[tuple[str, ..
                     descended = True
                     break
             if not descended:
-                state[path.pop()] = DONE
+                finished = path.pop()
+                state[finished] = DONE
+                order.append(finished)
                 iterators.pop()
-    return None
+    return None, order
 
 
 def analyze(system: UnitSystem, conversion: DefiningConversion) -> DependencyReport:
-    direct = {
-        base: tuple(sorted(root(replacement).support()))
-        for base, (_, replacement) in conversion.rules.items()
-    }
-    cycle = _find_cycle(direct)
+    direct = _direct_dependencies(conversion)
+    cycle, order = _walk(direct)
 
     # Transitive reachability along direct edges; plain graph reachability,
     # well defined whether or not there is a cycle.
@@ -241,20 +253,9 @@ def analyze(system: UnitSystem, conversion: DefiningConversion) -> DependencyRep
             iteration_bound=None,
         )
 
-    depth: dict[str, int] = {}
-
-    def depth_of(symbol: str) -> int:
-        if symbol in depth:
-            return depth[symbol]
-        if symbol not in direct:
-            value = 0
-        else:
-            value = 1 + max((depth_of(s) for s in direct[symbol]), default=0)
-        depth[symbol] = value
-        return value
-
-    for symbol in system.base_units:
-        depth_of(symbol)
+    depth = dict.fromkeys(system.base_units, 0)
+    for symbol in order:
+        depth[symbol] = 1 + max((depth.get(s, 0) for s in direct[symbol]), default=0)
     return DependencyReport(
         edges=MappingProxyType(edges),
         well_founded=True,
@@ -314,19 +315,19 @@ def _normal_forms(system: UnitSystem, conversion: DefiningConversion) -> Mapping
 
     For well-founded rules full expansion is a group homomorphism of the
     evaluated root, so each ruled symbol's normal form follows from its
-    rule and the normal forms of its dependencies, visited in depth
-    order. Prefix values enter through the replacements, so the table is
-    kept for one unit system, matched by identity. Raises
+    rule and the normal forms of its dependencies, visited in dependency
+    post-order. Prefix values enter through the replacements, so the
+    table is kept for one unit system, matched by identity. Raises
     NotWellDefiningError on cyclic rules.
     """
     compiled = conversion._compiled
     if compiled is not None and compiled[0] is system:
         return compiled[1]
-    report = analyze(system, conversion)
-    if not report.well_founded:
-        raise NotWellDefiningError(report.cycle_witness)
+    cycle, order = _walk(_direct_dependencies(conversion))
+    if cycle is not None:
+        raise NotWellDefiningError(cycle)
     table: dict[str, EvaluatedUnit] = {}
-    for base in sorted(conversion.rules, key=report.depth.__getitem__):
+    for base in order:
         ratio, replacement = conversion.rules[base]
         expanded = _substitute(table, evaluate(system, replacement))
         table[base] = EvaluatedUnit(ratio * expanded.factor, expanded.root)
@@ -582,7 +583,7 @@ def _relation_basis(vectors: list[dict[str, int]]) -> list[dict[int, int]]:
 
 
 def _relation_witness(system: UnitSystem, conversion: DefiningConversion) -> Optional[ConvTriple]:
-    """An inconsistency witness of a defining rule set, or None when there is none.
+    """An inconsistency witness of a rule mapping, or None when there is none.
 
     Mapping a triple (s, r, t) to (r * f_t / f_s, root(s) - root(t)), with
     f the prefix value, is a group homomorphism that sends every
@@ -595,7 +596,8 @@ def _relation_witness(system: UnitSystem, conversion: DefiningConversion) -> Opt
     Number Theory, ch. 2). The first product other than one, taken above
     one, is the witness ratio. Each product's size is bounded from the
     coefficients before it is computed; past MAX_RATIO_BITS it raises
-    RatioError.
+    RatioError. Nothing here uses dimensions, so it decides rule mappings
+    that change dimension too.
     """
     ratios: list[Fraction] = []
     vectors: list[dict[str, int]] = []
@@ -625,9 +627,8 @@ class ClassificationReport:
     is_defining: bool
     is_well_defining: bool
     is_regular: bool
-    # "guaranteed" | "witness_found" | "unknown"; only a mapping that is
-    # not defining, whose consistency comes from a bounded closure
-    # exploration, can be "unknown".
+    # "guaranteed" | "witness_found"; decided exactly for every rule
+    # mapping, so never "unknown".
     consistency: str
     witness: Optional[ConvTriple] = None
     cycle_witness: Optional[tuple[str, ...]] = None
@@ -642,59 +643,35 @@ def classify(
 ) -> ClassificationReport:
     """Classify a rule set: defining, well-defining, regular, consistent.
 
-    Regular means no rules at all. Well-defining (defining with
-    well-founded dependencies) guarantees consistency. A defining rule
-    set with cyclic dependencies is decided exactly, by the integer
-    relations among its evaluated rules: "witness_found" with a witness
-    relating the empty unit to itself at a ratio above one, or
-    "guaranteed". Only a mapping that is not defining (a rule changes
-    dimension) is left to a closure exploration bounded by `max_steps`
-    and `max_word`, so only it can come back "unknown": the exploration
-    was truncated without finding a witness. Rule sets too broken to
-    interpret at all (unknown symbols, malformed ratios or replacements)
-    raise instead, and so does a cycle whose ratio product would need
-    more than MAX_RATIO_BITS bits (RatioError).
+    Regular means no rules at all; defining, that no rule changes
+    dimension; well-defining, defining with well-founded dependencies,
+    which is when `iteration_bound` is given. Consistency is decided
+    exactly for every rule mapping, never by a closure search:
+    well-founded rules are "guaranteed"; cyclic ones, with one cycle
+    named in `cycle_witness`, are decided by the integer relations among
+    their evaluated rules, giving "witness_found" with a witness relating
+    the empty unit to itself at a ratio above one, or "guaranteed".
+    `max_steps` and `max_word` are unused, kept only for callers that
+    still pass them. Rule sets too broken to interpret at all (unknown
+    symbols, malformed ratios or replacements) raise instead, and so
+    does a cycle whose ratio product would need more than MAX_RATIO_BITS
+    bits (RatioError).
     """
-    if isinstance(rules, DefiningConversion):
-        mapping: Mapping[str, tuple] = rules.rules
-    else:
-        mapping = dict(rules)
+    del max_steps, max_word
+    mapping = rules.rules if isinstance(rules, DefiningConversion) else dict(rules)
     checked = DefiningConversion(_structural_rules(system, mapping))
-    is_regular = not checked.rules
     is_defining = all(
         dim(system, replacement) == dim_root(system, em_delta(base))
         for base, (_, replacement) in checked.rules.items()
     )
-    if is_defining:
-        report = analyze(system, checked)
-        if report.well_founded:
-            return ClassificationReport(
-                is_defining=True,
-                is_well_defining=True,
-                is_regular=is_regular,
-                consistency="guaranteed",
-                iteration_bound=report.iteration_bound,
-            )
-        witness = _relation_witness(system, checked)
-        return ClassificationReport(
-            is_defining=True,
-            is_well_defining=False,
-            is_regular=is_regular,
-            consistency="guaranteed" if witness is None else "witness_found",
-            witness=witness,
-            cycle_witness=report.cycle_witness,
-        )
-    exploration = explore_closure(system, checked.triples(), max_steps, max_word)
-    if exploration.witness is not None:
-        consistency = "witness_found"
-    elif exploration.truncated:
-        consistency = "unknown"
-    else:
-        consistency = "guaranteed"
+    report = analyze(system, checked)
+    witness = None if report.well_founded else _relation_witness(system, checked)
     return ClassificationReport(
-        is_defining=False,
-        is_well_defining=False,
-        is_regular=is_regular,
-        consistency=consistency,
-        witness=exploration.witness,
+        is_defining=is_defining,
+        is_well_defining=is_defining and report.well_founded,
+        is_regular=not checked.rules,
+        consistency="guaranteed" if witness is None else "witness_found",
+        witness=witness,
+        cycle_witness=report.cycle_witness,
+        iteration_bound=report.iteration_bound if is_defining else None,
     )

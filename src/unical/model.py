@@ -32,7 +32,7 @@ from .abelian import (
     em_map,
     em_mul,
 )
-from .numeric import ONE, ratio_inv, ratio_mul
+from .numeric import ONE, ratio_bits, ratio_check_bits, ratio_inv, ratio_mul
 
 __all__ = [
     "AbstractUnit",
@@ -217,8 +217,12 @@ def val(system: UnitSystem, prefix: Prefix) -> Fraction:
 
     Computed by mapping each symbol to its registered ratio and evaluating
     the resulting map in the multiplicative group of positive rationals.
+    The value has at most sum |exponent| * bits(ratio) bits; past
+    MAX_RATIO_BITS it raises RatioError before any power is taken.
     """
-    return em_eval(RATIO_GROUP, em_map(lambda symbol: _prefix_value(system, symbol), prefix))
+    values = em_map(lambda symbol: _prefix_value(system, symbol), prefix)
+    ratio_check_bits(sum(abs(z) * ratio_bits(value) for value, z in values.items()), "prefix value")
+    return em_eval(RATIO_GROUP, values)
 
 
 def pval(system: UnitSystem, unit: Unit) -> Fraction:

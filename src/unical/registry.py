@@ -37,6 +37,8 @@ from .numeric import RatioError, ratio_parse, ratio_text
 
 __all__ = [
     "BUNDLED_REGISTRIES",
+    "MAX_UNIT_EXPONENT",
+    "MAX_UNIT_NESTING",
     "RegistryDocument",
     "RegistryError",
     "UnitSyntaxError",
@@ -100,6 +102,11 @@ def _normalize(text: str) -> str:
 # with no further precedence. The '1' atom is the empty product, needed
 # to write dimensionless rows and empty replacements.
 
+# Limits on expression text, checked while parsing: the parser recurses
+# once per parenthesis level, and an exponent literal is read as an int.
+MAX_UNIT_NESTING = 100
+MAX_UNIT_EXPONENT = 10**9
+
 _SEGMENT = r"[^\s0-9_*/^()#\-]+"
 _IDENT_RE = re.compile(rf"{_SEGMENT}(?:(?:\^-?[0-9]+)?_{_SEGMENT})*")
 _NUMBER_RE = re.compile(r"-?[0-9]+")
@@ -157,6 +164,7 @@ class _ExpressionParser:
     def __init__(self, tokens: list[_Token], resolver: Resolver):
         self._tokens = tokens
         self._index = 0
+        self._depth = 0
         self._resolver = resolver
 
     def _peek(self) -> _Token:
@@ -193,6 +201,11 @@ class _ExpressionParser:
         if self._peek().kind == "^":
             self._advance()
             token = self._expect("number")
+            digits = token.text.lstrip("-0")
+            if len(digits) > len(str(MAX_UNIT_EXPONENT)) or int(digits or "0") > MAX_UNIT_EXPONENT:
+                raise UnitSyntaxError(
+                    f"exponent magnitude is over MAX_UNIT_EXPONENT = {MAX_UNIT_EXPONENT}", token.position
+                )
             return em_pow(atom, int(token.text))
         return atom
 
@@ -202,8 +215,14 @@ class _ExpressionParser:
             self._advance()
             return self._resolver(token.text, token.position)
         if token.kind == "(":
+            if self._depth == MAX_UNIT_NESTING:
+                raise UnitSyntaxError(
+                    f"parentheses nest deeper than MAX_UNIT_NESTING = {MAX_UNIT_NESTING}", token.position
+                )
             self._advance()
+            self._depth += 1
             value = self._expression()
+            self._depth -= 1
             self._expect(")")
             return value
         if token.kind == "number" and token.text == "1":

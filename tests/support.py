@@ -42,6 +42,16 @@ def dimensionless_system(bases):
     )
 
 
+def own_dimension_system(bases, dimensioned):
+    """`dimensionless_system`, but each base in `dimensioned` gets its own dimension.
+
+    The dimension is named after the base.
+    """
+    units = dict.fromkeys(bases, em_empty())
+    units.update((base, em_delta(base)) for base in dimensioned)
+    return UnitSystem(frozenset(dimensioned), TEST_PREFIXES, units)
+
+
 def unit_of(*parts):
     """Build a unit from (base, exponent) or (base, exponent, prefix-dict)."""
     out = em_empty()
@@ -122,8 +132,8 @@ def _small_ratio(rng):
     return Fraction(rng.randint(1, 9), rng.randint(1, 9))
 
 
-def random_cyclic_system(rng, consistent, prefix_chance=0.3):
-    """A random defining system whose rules hold exactly one dependency cycle.
+def random_cyclic_rules(rng, consistent, prefix_chance=0.3, changing_dimension=False):
+    """Random rules, as a plain mapping, that hold exactly one dependency cycle.
 
     Bases c0..c(k-1) form the cycle: the rule for c(i) rewrites it into
     c(i+1), behind a random prefix word with `prefix_chance`, at a random
@@ -135,11 +145,15 @@ def random_cyclic_system(rng, consistent, prefix_chance=0.3):
     relation among the rules is one trip round the cycle, and its ratio
     product is the factor.
 
+    With `changing_dimension` the cycle has two to four bases, each with
+    a dimension of its own, and the feeders are dimensionless, so every
+    cycle rule changes dimension and the mapping is not defining.
+
     Returns (system, rules, factor), with factor 1 when consistent.
     """
-    cycle = [f"c{i}" for i in range(rng.randint(1, 4))]
+    cycle = [f"c{i}" for i in range(rng.randint(2 if changing_dimension else 1, 4))]
     feeders = [f"f{i}" for i in range(rng.randint(0, 2))]
-    system = dimensionless_system(cycle + feeders)
+    system = own_dimension_system(cycle + feeders, cycle if changing_dimension else ())
     factor = Fraction(1) if consistent else rng.choice(_INJECTED_FACTORS)
     rules = {}
     product = Fraction(1)
@@ -152,7 +166,28 @@ def random_cyclic_system(rng, consistent, prefix_chance=0.3):
     cycle_system = dimensionless_system(cycle)
     for base in feeders:
         rules[base] = (_small_ratio(rng), random_unit(rng, cycle_system, max_parts=2, prefix_chance=prefix_chance))
+    return system, rules, factor
+
+
+def random_cyclic_system(rng, consistent, prefix_chance=0.3):
+    """`random_cyclic_rules` with dimensionless bases, as a defining system."""
+    system, rules, factor = random_cyclic_rules(rng, consistent, prefix_chance)
     return system, defining_conversion(system, rules), factor
+
+
+def chain_registry_text(length):
+    """A registry of `length` units in one chain of rules, each worth 2 of the next.
+
+    Returns (text, first symbol, last symbol); the first unit is
+    2^(length - 1) of the last, and the rules' iteration bound is
+    length - 1.
+    """
+    symbols = [f"q{chr(97 + i // 676)}{chr(97 + i // 26 % 26)}{chr(97 + i % 26)}" for i in range(length)]
+    lines = ["[dimensions]", "D", "", "[units]"]
+    lines += [f"{symbol} D" for symbol in symbols]
+    lines += ["", "[rules]"]
+    lines += [f"{symbol} 2 {following}" for symbol, following in zip(symbols, symbols[1:])]
+    return "\n".join(lines) + "\n", symbols[0], symbols[-1]
 
 
 def random_integer_map(rng, generators, max_entries=4, span=5):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from unical.cli import main
+from support import chain_registry_text
 
 LITRE_TEXT = """\
 [units]
@@ -171,8 +172,10 @@ def test_classify_refuses_a_witness_past_the_ratio_limit(capsys, tmp_path):
 
 
 def test_ratios_past_the_limit_exit_two(capsys):
-    code, out, err = run_within_a_second(capsys, "eval", "Ym^200")
-    assert code == 2 and not out and "MAX_RATIO_BITS" in err
+    # The prefix value is refused before the power is taken.
+    for text in ("Ym^200", "Ym^100000", "k^999999999999_m"):
+        code, out, err = run_within_a_second(capsys, "eval", text)
+        assert code == 2 and not out and "MAX_RATIO_BITS" in err
     code, out, err = run_within_a_second(capsys, "convert", "Ym^200", "m^200", "--format", "structured")
     assert code == 2 and not out and "MAX_RATIO_BITS" in err
 
@@ -270,3 +273,33 @@ def test_argparse_rejects_missing_command():
     with pytest.raises(SystemExit) as info:
         main([])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "text, limit",
+    [
+        ("(" * 400 + "m" + ")" * 400, "MAX_UNIT_NESTING"),
+        ("m^" + "9" * 5000, "MAX_UNIT_EXPONENT"),
+        ("km^999999999999", "MAX_UNIT_EXPONENT"),
+    ],
+    ids=["nesting", "digits", "magnitude"],
+)
+def test_expressions_past_a_limit_exit_two(capsys, tmp_path, text, limit):
+    code, out, err = run_within_a_second(capsys, "dim", text)
+    assert code == 2 and not out and limit in err
+    registry = tmp_path / "limit.reg"
+    registry.write_text(f"[units]\nx L\n[rules]\nx 1 {text}\n", encoding="utf-8")
+    code, out, err = run_within_a_second(capsys, "classify", "--registry", "si", "--registry", str(registry))
+    assert code == 2 and not out and "line 4" in err and limit in err
+
+
+def test_a_chain_of_a_thousand_rules(capsys, tmp_path):
+    text, first, last = chain_registry_text(1000)
+    registry = tmp_path / "chain.reg"
+    registry.write_text(text, encoding="utf-8")
+    code, out, _ = run_within_a_second(capsys, "convert", first, last, "--registry", str(registry))
+    assert code == 0 and out.splitlines()[0] == f"ratio: {2 ** 999}"
+    code, out, _ = run_within_a_second(capsys, "classify", "--registry", str(registry))
+    assert code == 0 and "iteration bound: 999" in out.splitlines()
+    code, out, _ = run_within_a_second(capsys, "explain", first, "--registry", str(registry))
+    assert code == 0 and out.splitlines()[-1] == f"fixpoint: ({2 ** 999}, {last})"

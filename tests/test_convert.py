@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from unical import (
     ConvTriple,
+    DefiningConversion,
     ExponentMap,
     NotWellDefiningError,
     RuleError,
@@ -39,7 +40,9 @@ from support import (
     bare,
     dimensionless_system,
     exhaust,
+    own_dimension_system,
     random_chain_system,
+    random_cyclic_rules,
     random_cyclic_system,
     random_unit,
     unit_of,
@@ -410,7 +413,18 @@ def test_classify_cycle_yields_witness():
 def test_classify_dimension_changing_rules():
     report = classify(SI, {"N": (Fraction(2), bare("m"))})
     assert not report.is_defining and not report.is_well_defining
-    assert report.consistency in ("unknown", "witness_found")
+    assert report.consistency == "guaranteed"
+    assert report.iteration_bound is None and report.cycle_witness is None
+
+
+def test_classify_decides_dimension_changing_cycles():
+    balanced = classify(SI, {"N": (Fraction(2), bare("m")), "m": (Fraction(1, 2), bare("N"))})
+    assert balanced.consistency == "guaranteed" and balanced.witness is None
+    report = classify(SI, {"N": (Fraction(2), bare("m")), "m": (Fraction(3), bare("N"))})
+    assert not report.is_defining and not report.is_well_defining
+    assert report.consistency == "witness_found"
+    assert report.witness == ConvTriple(em_empty(), Fraction(6), em_empty())
+    assert set(report.cycle_witness) == {"N", "m"}
 
 
 def test_classify_rejects_uninterpretable_rules():
@@ -420,11 +434,11 @@ def test_classify_rejects_uninterpretable_rules():
         classify(SI, {"nope": (Fraction(1), em_empty())})
 
 
-@given(st.randoms(use_true_random=False), st.booleans())
-def test_classify_decides_random_cycles(rng, consistent):
-    system, rules, factor = random_cyclic_system(rng, consistent)
+@given(st.randoms(use_true_random=False), st.booleans(), st.booleans())
+def test_classify_decides_random_cycles(rng, consistent, changing_dimension):
+    system, rules, factor = random_cyclic_rules(rng, consistent, changing_dimension=changing_dimension)
     report = classify(system, rules)
-    assert report.is_defining and not report.is_well_defining
+    assert report.is_defining == (not changing_dimension) and not report.is_well_defining
     assert report.cycle_witness is not None
     if consistent:
         assert report.consistency == "guaranteed" and report.witness is None
@@ -433,25 +447,31 @@ def test_classify_decides_random_cycles(rng, consistent):
         assert report.witness == ConvTriple(em_empty(), max(factor, 1 / factor), em_empty())
 
 
-def _random_rule_system(rng):
-    """Two or three dimensionless bases, most with a rule to a random unit."""
-    system = dimensionless_system(["x", "y", "z"][: rng.randint(2, 3)])
+def _random_rule_system(rng, changing_dimension):
+    """Two or three bases, most with a rule to a random unit.
+
+    The bases are dimensionless, or with `changing_dimension` each has a
+    dimension of its own, so most rules change dimension.
+    """
+    bases = ["x", "y", "z"][: rng.randint(2, 3)]
+    system = own_dimension_system(bases, bases if changing_dimension else ())
     rules = {
         base: (Fraction(rng.randint(1, 6), rng.randint(1, 6)), random_unit(rng, system, 2, 0.3, (-1, 1, 2)))
-        for base in sorted(system.base_units)
+        for base in bases
         if rng.random() < 0.8
     }
-    return system, defining_conversion(system, rules)
+    return system, rules
 
 
-@given(st.randoms(use_true_random=False), st.booleans())
-def test_classify_agrees_with_closure_search(rng, single_cycle):
-    if single_cycle:
+@given(st.randoms(use_true_random=False), st.sampled_from(["single cycle", "defining", "changing dimension"]))
+def test_classify_agrees_with_closure_search(rng, kind):
+    if kind == "single cycle":
         system, rules, _ = random_cyclic_system(rng, rng.random() < 0.5, prefix_chance=0.2)
+        rules = rules.rules
     else:
-        system, rules = _random_rule_system(rng)
+        system, rules = _random_rule_system(rng, kind == "changing dimension")
     report = classify(system, rules)
-    explored = explore_closure(system, rules.triples(), max_steps=2, max_word=4)
+    explored = explore_closure(system, DefiningConversion(rules).triples(), max_steps=2, max_word=4)
     if explored.witness is not None:
         assert report.consistency == "witness_found"
     elif not explored.truncated:

@@ -1,4 +1,5 @@
 import operator
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import strategies as st
 
 from unical import (
     EQUIV_LEVELS,
+    MAX_RATIO_BITS,
     ExponentMap,
     PreUnit,
+    RatioError,
     UnitSystem,
     UnknownSymbolError,
     abstract,
@@ -122,6 +125,17 @@ def test_val_and_pval():
     assert val(SI, em_empty()) == 1
     u = unit_of(("g", 1, {"μ": 1, "k": 1}))
     assert pval(SI, u) == Fraction(1, 1000)
+
+
+def test_val_refuses_words_past_the_ratio_limit_before_the_power():
+    # ki is 2^10, which takes 11 bits.
+    most = MAX_RATIO_BITS // 11
+    assert val(SI, ExponentMap({"ki": most})) == 2 ** (10 * most)
+    started = time.perf_counter()
+    for exponent in (most + 1, -most - 1, 10**12):
+        with pytest.raises(RatioError, match="MAX_RATIO_BITS"):
+            val(SI, ExponentMap({"ki": exponent}))
+    assert time.perf_counter() - started < 1
 
 
 def test_binary_prefix_values():

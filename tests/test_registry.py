@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from unical import (
     BUNDLED_REGISTRIES,
+    MAX_UNIT_EXPONENT,
+    MAX_UNIT_NESTING,
     ExponentMap,
     PreUnit,
     RegistryError,
@@ -253,6 +255,24 @@ def test_grammar_products_quotients_powers():
 def test_grammar_rejects_malformed(text):
     with pytest.raises(UnitSyntaxError):
         parse_unit(SI, text)
+
+
+def test_grammar_bounds_parenthesis_nesting():
+    deepest = "(" * MAX_UNIT_NESTING + "m" + ")" * MAX_UNIT_NESTING
+    assert parse_unit(SI, deepest) == bare("m")
+    for depth in (MAX_UNIT_NESTING + 1, 400, 100_000):
+        with pytest.raises(UnitSyntaxError, match="MAX_UNIT_NESTING") as info:
+            parse_unit(SI, "(" * depth + "m" + ")" * depth)
+        assert info.value.position == MAX_UNIT_NESTING
+
+
+def test_grammar_bounds_exponent_magnitude():
+    assert parse_unit(SI, f"m^-{MAX_UNIT_EXPONENT}") == bare("m", -MAX_UNIT_EXPONENT)
+    assert parse_unit(SI, f"m^000{MAX_UNIT_EXPONENT}") == bare("m", MAX_UNIT_EXPONENT)
+    for exponent in (str(MAX_UNIT_EXPONENT + 1), "-" + "9" * 5000, "1" + "0" * 100_000):
+        with pytest.raises(UnitSyntaxError, match="MAX_UNIT_EXPONENT") as info:
+            parse_unit(SI, "m^" + exponent)
+        assert info.value.position == 2
 
 
 def test_unknown_identifier_carries_position():
