@@ -6,13 +6,30 @@ parallel rewriting passes until it is fully reduced) and the base units
 it transitively depends on. The maximum depth is the number of one-step
 `rwr_eval` passes that reach every unit's normal form; conversions reach
 the same normal forms through a table compiled once, in depth order.
+`analyze` reports only depths; the transitive dependencies are built
+here, by `transitive_dependencies`, in the same depth order.
 """
 
 from __future__ import annotations
 
 import argparse
 
-from unical import analyze, load_registry, read_registry
+from unical import analyze, load_registry, read_registry, root
+
+
+def transitive_dependencies(rules, depth) -> dict[str, frozenset[str]]:
+    """Every base unit each ruled symbol depends on, directly or not.
+
+    A rule depends directly on the symbols of its replacement's root,
+    after cancellation. Visiting the ruled symbols in depth order makes
+    each set the union of its direct dependencies and their sets; the
+    result keeps that order.
+    """
+    found: dict[str, frozenset[str]] = {}
+    for symbol in sorted(rules.rules, key=lambda s: (depth[s], s)):
+        direct = root(rules.rules[symbol][1]).support()
+        found[symbol] = frozenset(direct).union(*(found.get(s, ()) for s in direct))
+    return found
 
 
 def run(registries: list[str], include_pathological: bool = True) -> None:
@@ -23,10 +40,10 @@ def run(registries: list[str], include_pathological: bool = True) -> None:
         print("rules are not well-founded")
         print("cycle: " + " > ".join(report.cycle_witness))
         return
-    ruled = sorted(rules.rules, key=lambda s: (report.depth[s], s))
-    width = max((len(s) for s in ruled), default=1)
-    for symbol in ruled:
-        depends = ", ".join(sorted(report.edges[symbol])) or "-"
+    dependencies = transitive_dependencies(rules, report.depth)
+    width = max((len(s) for s in dependencies), default=1)
+    for symbol in dependencies:
+        depends = ", ".join(sorted(dependencies[symbol])) or "-"
         print(f"{symbol:<{width}}  depth {report.depth[symbol]}  depends on: {depends}")
     print(f"pass bound for any conversion: {report.iteration_bound}")
 

@@ -28,7 +28,6 @@ from .model import (
     UnitSystem,
     UnknownSymbolError,
     dim,
-    dim_root,
     evaluate,
     pval,
     root,
@@ -133,9 +132,16 @@ def _as_ratio(value) -> Fraction:
     return value
 
 
-def _structural_rules(system: UnitSystem, rules: Mapping[str, tuple]) -> dict[str, tuple[Fraction, Unit]]:
-    """Check everything about a rule mapping except dimension preservation."""
+def _structural_rules(
+    system: UnitSystem, rules: Mapping[str, tuple]
+) -> tuple[dict[str, tuple[Fraction, Unit]], list[str]]:
+    """Check the shape of a rule mapping, in symbol order.
+
+    Returns the checked rules and the bases, in symbol order, whose rule
+    changes dimension; whether that is an error is the caller's choice.
+    """
     checked: dict[str, tuple[Fraction, Unit]] = {}
+    changes_dimension: list[str] = []
     for base in sorted(rules):
         ratio, replacement = rules[base]
         if base not in system.base_units:
@@ -143,9 +149,10 @@ def _structural_rules(system: UnitSystem, rules: Mapping[str, tuple]) -> dict[st
         ratio = _as_ratio(ratio)
         if not isinstance(replacement, ExponentMap):
             raise RuleError(f"rule for {base!r} needs a unit replacement, got {replacement!r}")
-        dim(system, replacement)  # validates the replacement's symbols
+        if dim(system, replacement) != system.base_units[base]:
+            changes_dimension.append(base)
         checked[base] = (ratio, replacement)
-    return checked
+    return checked, changes_dimension
 
 
 def defining_conversion(system: UnitSystem, rules: Mapping[str, tuple]) -> DefiningConversion:
@@ -155,10 +162,9 @@ def defining_conversion(system: UnitSystem, rules: Mapping[str, tuple]) -> Defin
     positive ratio (int accepted) and a replacement unit over the system
     with the same dimension as the base unit being rewritten.
     """
-    checked = _structural_rules(system, rules)
-    for base, (_, replacement) in checked.items():
-        if dim(system, replacement) != dim_root(system, em_delta(base)):
-            raise RuleError(f"rule for {base!r} changes dimension")
+    checked, changes_dimension = _structural_rules(system, rules)
+    if changes_dimension:
+        raise RuleError(f"rule for {changes_dimension[0]!r} changes dimension")
     return DefiningConversion(checked)
 
 
@@ -166,18 +172,17 @@ def defining_conversion(system: UnitSystem, rules: Mapping[str, tuple]) -> Defin
 class DependencyReport:
     """Dependency structure of a defining conversion.
 
-    `edges` maps each rewritten base unit to every base unit it
-    transitively depends on; the direct dependencies of a rule are the
-    symbols in the support of its replacement's root, after any
-    cancellation inside the replacement. When the relation is
+    A rule depends directly on the symbols in the support of its
+    replacement's root, after any cancellation inside the replacement;
+    `analyze` walks those edges once. When the relation is
     well-founded, `depth` gives each registered base unit's expansion
     depth (zero for symbols without a rule) and `iteration_bound` the
     number of parallel rewriting passes after which every unit is fully
     expanded; otherwise both are None and `cycle_witness` lists one cycle
-    in visiting order.
+    in visiting order. Transitive dependencies are left to
+    `scripts/depth_report.py`, the one reader that needs them.
     """
 
-    edges: Mapping[str, frozenset[str]]
     well_founded: bool
     cycle_witness: Optional[tuple[str, ...]]
     depth: Optional[Mapping[str, int]]
@@ -230,38 +235,16 @@ def _walk(direct: Mapping[str, tuple[str, ...]]) -> tuple[Optional[tuple[str, ..
 def analyze(system: UnitSystem, conversion: DefiningConversion) -> DependencyReport:
     direct = _direct_dependencies(conversion)
     cycle, order = _walk(direct)
-
-    # Transitive reachability along direct edges; plain graph reachability,
-    # well defined whether or not there is a cycle.
-    edges: dict[str, frozenset[str]] = {}
-    for base in direct:
-        seen: set[str] = set()
-        stack = list(direct[base])
-        while stack:
-            node = stack.pop()
-            if node not in seen:
-                seen.add(node)
-                stack.extend(direct.get(node, ()))
-        edges[base] = frozenset(seen)
-
-    if cycle is not None:
-        return DependencyReport(
-            edges=MappingProxyType(edges),
-            well_founded=False,
-            cycle_witness=cycle,
-            depth=None,
-            iteration_bound=None,
-        )
-
-    depth = dict.fromkeys(system.base_units, 0)
-    for symbol in order:
-        depth[symbol] = 1 + max((depth.get(s, 0) for s in direct[symbol]), default=0)
+    depth: Optional[dict[str, int]] = None
+    if cycle is None:
+        depth = dict.fromkeys(system.base_units, 0)
+        for symbol in order:
+            depth[symbol] = 1 + max((depth.get(s, 0) for s in direct[symbol]), default=0)
     return DependencyReport(
-        edges=MappingProxyType(edges),
-        well_founded=True,
-        cycle_witness=None,
-        depth=MappingProxyType(depth),
-        iteration_bound=max(depth.values(), default=0),
+        well_founded=cycle is None,
+        cycle_witness=cycle,
+        depth=None if depth is None else MappingProxyType(depth),
+        iteration_bound=None if depth is None else max(depth.values(), default=0),
     )
 
 
@@ -285,29 +268,42 @@ def _expand_base(system: UnitSystem, conversion: DefiningConversion, base: str) 
     return EvaluatedUnit(ratio * expanded.factor, expanded.root)
 
 
+def _power_product(powers: list[tuple[Fraction, int]], what: str) -> Fraction:
+    """The product of ratio powers, with `val`'s bound checked first.
+
+    The product has at most sum |exponent| * bits(ratio) bits over the
+    ratios other than one; past MAX_RATIO_BITS that raises RatioError
+    before any power is taken. The bound over-estimates: it ignores
+    cancellation between the ratios.
+    """
+    ratio_check_bits(sum(abs(z) * ratio_bits(r) for r, z in powers if r != 1), what)
+    product = ONE
+    for r, z in powers:
+        product *= r ** z
+    return product
+
+
 def rwr_eval(system: UnitSystem, conversion: DefiningConversion, unit: EvaluatedUnit) -> EvaluatedUnit:
-    """Rewrite every base unit in an evaluated unit's root once, in parallel."""
-    factor = unit.factor
-    pairs: list[tuple[str, int]] = []
-    for base, exponent in unit.root.items():
-        expanded = _expand_base(system, conversion, base)
-        factor *= expanded.factor ** exponent
-        pairs.extend((symbol, z * exponent) for symbol, z in expanded.root.items())
-    return EvaluatedUnit(factor, ExponentMap(pairs))
+    """Rewrite every base unit in an evaluated unit's root once, in parallel.
+
+    Rule factors are raised to the unit's exponents under `val`'s bound,
+    as in `convert`.
+    """
+    return _substitute({base: _expand_base(system, conversion, base) for base in unit.root}, unit)
 
 
 def _substitute(normal_forms: Mapping[str, EvaluatedUnit], unit: EvaluatedUnit) -> EvaluatedUnit:
     """Replace each root symbol that has a normal form by that form."""
-    factor = unit.factor
+    powers: list[tuple[Fraction, int]] = []
     pairs: list[tuple[str, int]] = []
     for base, exponent in unit.root.items():
         expanded = normal_forms.get(base)
         if expanded is None:
             pairs.append((base, exponent))
         else:
-            factor *= expanded.factor ** exponent
+            powers.append((expanded.factor, exponent))
             pairs.extend((symbol, z * exponent) for symbol, z in expanded.root.items())
-    return EvaluatedUnit(factor, ExponentMap(pairs))
+    return EvaluatedUnit(unit.factor * _power_product(powers, "rewritten factor"), ExponentMap(pairs))
 
 
 def _normal_forms(system: UnitSystem, conversion: DefiningConversion) -> Mapping[str, EvaluatedUnit]:
@@ -328,9 +324,7 @@ def _normal_forms(system: UnitSystem, conversion: DefiningConversion) -> Mapping
         raise NotWellDefiningError(cycle)
     table: dict[str, EvaluatedUnit] = {}
     for base in order:
-        ratio, replacement = conversion.rules[base]
-        expanded = _substitute(table, evaluate(system, replacement))
-        table[base] = EvaluatedUnit(ratio * expanded.factor, expanded.root)
+        table[base] = _substitute(table, _expand_base(system, conversion, base))
     object.__setattr__(conversion, "_compiled", (system, table))
     return table
 
@@ -354,7 +348,11 @@ def convert(
 
     Both units are fully expanded by `rwr_star`; they are convertible
     exactly when the expanded roots coincide, and then source = factor *
-    target with factor the quotient of the expanded scale factors.
+    target with factor the quotient of the expanded scale factors. Each
+    rule factor is raised to its unit exponent only after `val`'s bound,
+    sum |exponent| * bits(factor), is checked against MAX_RATIO_BITS;
+    past it RatioError is raised. Like `val`'s, the bound over-estimates,
+    so a few units whose factors would cancel are refused too.
     """
     expanded_source = rwr_star(system, conversion, source)
     expanded_target = rwr_star(system, conversion, target)
@@ -601,20 +599,16 @@ def _relation_witness(system: UnitSystem, conversion: DefiningConversion) -> Opt
     """
     ratios: list[Fraction] = []
     vectors: list[dict[str, int]] = []
-    for base, (ratio, replacement) in sorted(conversion.rules.items()):
-        expanded = evaluate(system, replacement)
-        ratios.append(ratio * expanded.factor)
+    for base in sorted(conversion.rules):
+        expanded = _expand_base(system, conversion, base)
+        ratios.append(expanded.factor)
         vector = {symbol: -z for symbol, z in expanded.root.items()}
         vector[base] = vector.get(base, 0) + 1
         vectors.append({symbol: z for symbol, z in vector.items() if z})
     for relation in _relation_basis(vectors):
-        ratio_check_bits(
-            sum(abs(c) * ratio_bits(ratios[i]) for i, c in relation.items() if ratios[i] != 1),
-            "ratio product of a rule cycle",
+        product = _power_product(
+            [(ratios[i], c) for i, c in relation.items()], "ratio product of a rule cycle"
         )
-        product = ONE
-        for i, c in relation.items():
-            product *= ratios[i] ** c
         if product != 1:
             return ConvTriple(em_empty(), max(product, 1 / product), em_empty())
     return None
@@ -659,11 +653,9 @@ def classify(
     """
     del max_steps, max_word
     mapping = rules.rules if isinstance(rules, DefiningConversion) else dict(rules)
-    checked = DefiningConversion(_structural_rules(system, mapping))
-    is_defining = all(
-        dim(system, replacement) == dim_root(system, em_delta(base))
-        for base, (_, replacement) in checked.rules.items()
-    )
+    checked_rules, changes_dimension = _structural_rules(system, mapping)
+    checked = DefiningConversion(checked_rules)
+    is_defining = not changes_dimension
     report = analyze(system, checked)
     witness = None if report.well_founded else _relation_witness(system, checked)
     return ClassificationReport(

@@ -18,9 +18,9 @@ import unicodedata
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
-from .abelian import ExponentMap, em_delta, em_empty, em_inv, em_mul, em_pow
+from .abelian import ExponentMap, em_delta, em_empty
 from .convert import DefiningConversion, RuleError, defining_conversion
 from .model import (
     Dimension,
@@ -158,7 +158,10 @@ class _ExpressionParser:
     The resolver turns one identifier token into a group element, which
     is what lets the same grammar serve unit expressions (identifiers
     resolve to prefixed base units) and dimension expressions
-    (identifiers are taken as dimension symbols).
+    (identifiers are taken as dimension symbols). Each element's
+    (generator, exponent) pairs go onto one list: `/` negates the slice
+    its term appended, `^n` scales the slice its atom appended, and
+    `parse` builds one map at the end, so parsing is linear in the text.
     """
 
     def __init__(self, tokens: list[_Token], resolver: Resolver):
@@ -166,6 +169,7 @@ class _ExpressionParser:
         self._index = 0
         self._depth = 0
         self._resolver = resolver
+        self._pairs: list[tuple[Any, int]] = []
 
     def _peek(self) -> _Token:
         return self._tokens[self._index]
@@ -181,23 +185,28 @@ class _ExpressionParser:
             raise UnitSyntaxError(f"expected {kind!r}, found {token.text or 'end of input'!r}", token.position)
         return self._advance()
 
+    def _scale(self, start: int, exponent: int) -> None:
+        self._pairs[start:] = [(generator, z * exponent) for generator, z in self._pairs[start:]]
+
     def parse(self) -> ExponentMap:
-        value = self._expression()
+        self._expression()
         tail = self._peek()
         if tail.kind != "end":
             raise UnitSyntaxError(f"unexpected trailing input {tail.text!r}", tail.position)
-        return value
+        return ExponentMap(self._pairs)
 
-    def _expression(self) -> ExponentMap:
-        value = self._term()
+    def _expression(self) -> None:
+        self._term()
         while self._peek().kind in ("*", "/"):
             op = self._advance()
-            term = self._term()
-            value = em_mul(value, term if op.kind == "*" else em_inv(term))
-        return value
+            start = len(self._pairs)
+            self._term()
+            if op.kind == "/":
+                self._scale(start, -1)
 
-    def _term(self) -> ExponentMap:
-        atom = self._atom()
+    def _term(self) -> None:
+        start = len(self._pairs)
+        self._atom()
         if self._peek().kind == "^":
             self._advance()
             token = self._expect("number")
@@ -206,31 +215,29 @@ class _ExpressionParser:
                 raise UnitSyntaxError(
                     f"exponent magnitude is over MAX_UNIT_EXPONENT = {MAX_UNIT_EXPONENT}", token.position
                 )
-            return em_pow(atom, int(token.text))
-        return atom
+            self._scale(start, int(token.text))
 
-    def _atom(self) -> ExponentMap:
+    def _atom(self) -> None:
         token = self._peek()
         if token.kind == "ident":
             self._advance()
-            return self._resolver(token.text, token.position)
-        if token.kind == "(":
+            self._pairs.extend(self._resolver(token.text, token.position).items())
+        elif token.kind == "(":
             if self._depth == MAX_UNIT_NESTING:
                 raise UnitSyntaxError(
                     f"parentheses nest deeper than MAX_UNIT_NESTING = {MAX_UNIT_NESTING}", token.position
                 )
             self._advance()
             self._depth += 1
-            value = self._expression()
+            self._expression()
             self._depth -= 1
             self._expect(")")
-            return value
-        if token.kind == "number" and token.text == "1":
+        elif token.kind == "number" and token.text == "1":
             self._advance()
-            return em_empty()
-        raise UnitSyntaxError(
-            f"expected a symbol, '(' or 1, found {token.text or 'end of input'!r}", token.position
-        )
+        else:
+            raise UnitSyntaxError(
+                f"expected a symbol, '(' or 1, found {token.text or 'end of input'!r}", token.position
+            )
 
 
 def _parse_expression(text: str, resolver: Resolver) -> ExponentMap:

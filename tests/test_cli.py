@@ -178,6 +178,10 @@ def test_ratios_past_the_limit_exit_two(capsys):
         assert code == 2 and not out and "MAX_RATIO_BITS" in err
     code, out, err = run_within_a_second(capsys, "convert", "Ym^200", "m^200", "--format", "structured")
     assert code == 2 and not out and "MAX_RATIO_BITS" in err
+    # So is a rule factor, in rewriting.
+    for argv in (("convert", "lb^100000", "kg^100000"), ("explain", "lb^100000")):
+        code, out, err = run_within_a_second(capsys, *argv, "--registry", "si", "--registry", "uk")
+        assert code == 2 and not out and "MAX_RATIO_BITS" in err
 
 
 def test_classify_bundled_registry(capsys):

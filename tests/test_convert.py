@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from unical import (
     DefiningConversion,
     ExponentMap,
     NotWellDefiningError,
+    RatioError,
     RuleError,
     UnitSystem,
     UnknownSymbolError,
@@ -38,6 +40,7 @@ from unical import (
 )
 from support import (
     bare,
+    chain_registry_text,
     dimensionless_system,
     exhaust,
     own_dimension_system,
@@ -120,19 +123,11 @@ def test_analyze_reproduces_hand_computed_depths():
         assert report.depth[symbol] == 0
 
 
-def test_analyze_edges_are_transitive():
-    report = analyze(SI, SI_RULES)
-    assert {"g", "m", "s", "A"} <= report.edges["V"]
-    assert report.edges["rad"] == frozenset()
-    assert "V" not in report.edges["W"]
-
-
 def test_analyze_ignores_cancelled_replacement_symbols():
     system = dimensionless_system(["x", "y"])
     cancelled = em_mul(bare("y"), em_pow(bare("y"), -1))
     rules = defining_conversion(system, {"x": (Fraction(2), cancelled)})
     report = analyze(system, rules)
-    assert report.edges["x"] == frozenset()
     assert report.depth["x"] == 1
     assert report.iteration_bound == 1
 
@@ -486,3 +481,26 @@ def test_classify_si_with_one_cyclic_rule(si_pair):
     assert report.witness == ConvTriple(em_empty(), Fraction(2), em_empty())
     consistent = defining_conversion(system, {**rules.rules, "s": (Fraction(1), parse_unit(system, "Hz^-1"))})
     assert classify(system, consistent).consistency == "guaranteed"
+
+
+def test_analyze_and_classify_are_linear_on_a_chain_of_5000_rules():
+    system, rules = load_registry(chain_registry_text(5000)[0])
+    for run in (analyze, classify):
+        started = time.perf_counter()
+        assert run(system, rules).iteration_bound == 4999
+        assert time.perf_counter() - started < 1
+
+
+def test_rule_factor_powers_are_bounded_before_they_are_taken(siuk_pair):
+    system, rules = siuk_pair
+    source, target = parse_unit(system, "lb^100000"), parse_unit(system, "kg^100000")
+    started = time.perf_counter()
+    with pytest.raises(RatioError, match="MAX_RATIO_BITS"):
+        convert(system, rules, source, target)
+    with pytest.raises(RatioError, match="MAX_RATIO_BITS"):
+        rwr_eval(system, rules, evaluate(system, source))
+    assert time.perf_counter() - started < 1
+    # Factors of one add nothing to the bound.
+    assert convert(system, rules, parse_unit(system, "Hz^20000"), parse_unit(system, "s^-20000")) == 1
+    metres = evaluate(system, bare("m", 20000))
+    assert rwr_eval(system, rules, metres) == metres

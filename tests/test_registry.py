@@ -19,6 +19,9 @@ from unical import (
     defining_conversion,
     em_delta,
     em_empty,
+    em_inv,
+    em_mul,
+    em_pow,
     load_registry,
     merge_documents,
     parse_document,
@@ -382,3 +385,56 @@ def test_long_identifier_is_rejected_in_bounded_time(text):
     with pytest.raises(UnknownIdentifierError):
         parse_unit(SI, text)
     assert time.perf_counter() - started < 2
+
+
+def test_a_long_product_parses_in_linear_time():
+    text = "*".join(
+        f"{prefix}{power}_{unit}"
+        for power in ("", "^2", "^-1")
+        for prefix in sorted(SIUK.base_prefixes)
+        for unit in sorted(SIUK.base_units)
+    )
+    started = time.perf_counter()
+    unit = parse_unit(SIUK, text)
+    assert time.perf_counter() - started < 1
+    assert len(text) > 20_000 and len(unit) == 3168
+
+
+EXPRESSION_TREES = st.recursive(
+    st.sampled_from(["m", "km", "k_g", "s", "h^2_s", "1"]),
+    lambda children: st.one_of(
+        st.tuples(st.sampled_from("*/"), children, children),
+        st.tuples(st.just("^"), children, st.integers(-3, 3)),
+        st.tuples(st.just("()"), children),
+    ),
+    max_leaves=12,
+)
+
+
+def render_tree(tree):
+    """Text of an expression tree, with the kind of the outermost phrase."""
+    if isinstance(tree, str):
+        return tree, "atom"
+    if tree[0] == "()":
+        return f"({render_tree(tree[1])[0]})", "atom"
+    if tree[0] == "^":
+        text, kind = render_tree(tree[1])
+        return (text if kind == "atom" else f"({text})") + f"^{tree[2]}", "term"
+    left, right = render_tree(tree[1])[0], render_tree(tree[2])
+    return left + tree[0] + (right[0] if right[1] != "expr" else f"({right[0]})"), "expr"
+
+
+def fold_tree(tree):
+    if isinstance(tree, str):
+        return em_empty() if tree == "1" else _resolve_identifier(SI, tree)
+    if tree[0] == "()":
+        return fold_tree(tree[1])
+    if tree[0] == "^":
+        return em_pow(fold_tree(tree[1]), tree[2])
+    right = fold_tree(tree[2])
+    return em_mul(fold_tree(tree[1]), right if tree[0] == "*" else em_inv(right))
+
+
+@given(EXPRESSION_TREES)
+def test_parse_equals_the_fold_of_group_operations(tree):
+    assert parse_unit(SI, render_tree(tree)[0]) == fold_tree(tree)

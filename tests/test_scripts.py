@@ -1,10 +1,16 @@
+import importlib
 import runpy
 import sys
+from fractions import Fraction
 from pathlib import Path
 
-from support import chain_registry_text
+from unical import analyze, bundled_registry, classify, defining_conversion, em_mul, em_pow, load_registry
+from support import bare, chain_registry_text, dimensionless_system
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
+SI, SI_RULES = load_registry(bundled_registry("si"))
+transitive_dependencies = runpy.run_path(str(SCRIPTS / "depth_report.py"))["transitive_dependencies"]
 
 
 def test_depth_report_on_si(capsys, monkeypatch):
@@ -24,3 +30,27 @@ def test_depth_report_on_a_chain_of_a_thousand_rules(capsys, monkeypatch, tmp_pa
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == "pass bound for any conversion: 999"
     assert lines[-2].startswith(f"{first}  depth 999  depends on: ")
+
+
+def test_transitive_dependencies_are_transitive():
+    report = analyze(SI, SI_RULES)
+    edges = transitive_dependencies(SI_RULES, report.depth)
+    assert {"g", "m", "s", "A"} <= edges["V"]
+    assert edges["rad"] == frozenset()
+    assert "V" not in edges["W"]
+
+
+def test_transitive_dependencies_ignore_cancelled_replacement_symbols():
+    system = dimensionless_system(["x", "y"])
+    cancelled = em_mul(bare("y"), em_pow(bare("y"), -1))
+    rules = defining_conversion(system, {"x": (Fraction(2), cancelled)})
+    edges = transitive_dependencies(rules, analyze(system, rules).depth)
+    assert edges["x"] == frozenset()
+
+
+def test_benchmark_hooks_still_resolve():
+    traced = runpy.run_path(str(ROOT / "bench" / "spans.py"))["TRACED"]
+    for module, attribute, _ in traced:
+        assert callable(getattr(importlib.import_module(module), attribute)), (module, attribute)
+    # The benchmark's classify worker passes these keywords.
+    assert classify(SI, SI_RULES, max_steps=3, max_word=5).consistency == "guaranteed"
