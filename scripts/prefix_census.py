@@ -14,7 +14,6 @@ adopted, and the difference shows up here.
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
@@ -33,13 +32,6 @@ from unical import (
 )
 
 
-@dataclass
-class CensusConfig:
-    registries: tuple[str, ...] = ("si",)
-    unit: str = "hW"
-    legacy_max: int = 24  # largest |exponent| available before ronna/quetta
-
-
 def decimal_prefix_exponents(system) -> dict[int, str | None]:
     """Exponent -> symbol for every power-of-ten prefix, plus 0 -> None."""
     table: dict[int, str | None] = {0: None}
@@ -50,15 +42,15 @@ def decimal_prefix_exponents(system) -> dict[int, str | None]:
     return table
 
 
-def run(config: CensusConfig) -> None:
-    texts = [bundled_registry(name) for name in config.registries]
+def run(registries: list[str], unit: str, legacy_max: int) -> None:
+    texts = [bundled_registry(name) for name in registries]
     system, rules = load_registry(*texts)
-    target = rwr_star(system, rules, parse_unit(system, config.unit))
+    target = rwr_star(system, rules, parse_unit(system, unit))
     slots = target.root.items()
     table = decimal_prefix_exponents(system)
     exponents = sorted(table)
 
-    print(f"target: {config.unit} = {print_evaluated(system, target)}")
+    print(f"target: {unit} = {print_evaluated(system, target)}")
     print(f"slots: {', '.join(f'{sym}^{z}' for sym, z in slots)}")
     print(f"decimal prefix exponents available: {len(exponents)} (incl. bare)")
 
@@ -72,9 +64,9 @@ def run(config: CensusConfig) -> None:
         if evaluate(system, candidate) == target:
             matches.append(assignment)
 
-    legacy = [m for m in matches if all(abs(e) <= config.legacy_max for e in m)]
+    legacy = [m for m in matches if all(abs(e) <= legacy_max for e in m)]
     print(f"matching spellings: {len(matches)}")
-    print(f"within |exponent| <= {config.legacy_max}: {len(legacy)}")
+    print(f"within |exponent| <= {legacy_max}: {len(legacy)}")
     beyond = [m for m in matches if m not in legacy]
     if beyond:
         print("needing the extended prefix range:")
@@ -91,16 +83,13 @@ def main() -> None:
     parser.add_argument("--registry", action="append", help="bundled registry name (default: si)")
     parser.add_argument("--unit", default="hW", help="target unit expression (default: hW)")
     parser.add_argument(
-        "--legacy-max", type=int, default=24, help="exponent cutoff for the older prefix table"
+        "--legacy-max",
+        type=int,
+        default=24,
+        help="largest |exponent| in the prefix table before ronna and quetta (default: 24)",
     )
     args = parser.parse_args()
-    run(
-        CensusConfig(
-            registries=tuple(args.registry or ("si",)),
-            unit=args.unit,
-            legacy_max=args.legacy_max,
-        )
-    )
+    run(args.registry or ["si"], args.unit, args.legacy_max)
 
 
 if __name__ == "__main__":

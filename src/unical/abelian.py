@@ -147,14 +147,7 @@ def em_mul(f: ExponentMap, g: ExponentMap) -> ExponentMap:
         return g
     if not g:
         return f
-    merged = dict(f.items())
-    for generator, exponent in g.items():
-        total = merged.get(generator, 0) + exponent
-        if total:
-            merged[generator] = total
-        else:
-            del merged[generator]
-    return ExponentMap(merged)
+    return ExponentMap(f.items() + g.items())
 
 
 def em_inv(f: ExponentMap) -> ExponentMap:

@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from typing import Optional
 
 from .abelian import em_inv, em_mul
@@ -31,7 +32,9 @@ from .numeric import MAX_DECIMAL_DIGITS, RatioError, ratio_text, ratio_to_decima
 from .registry import (
     RegistryError,
     UnitSyntaxError,
-    load_registry,
+    build_system,
+    merge_documents,
+    parse_document,
     parse_unit,
     print_dimension,
     print_evaluated,
@@ -207,14 +210,16 @@ def _list(system: UnitSystem, rules: DefiningConversion, args: argparse.Namespac
     return EXIT_OK, {"kind": args.kind, "entries": entries}, entries
 
 
+# Each command's body, and whether it reads the rules: the others run
+# without building them, so a bad rule cannot fail them.
 _COMMANDS = {
-    "convert": _convert,
-    "norm": _norm,
-    "eval": _eval,
-    "dim": _dim,
-    "classify": _classify,
-    "explain": _explain,
-    "list": _list,
+    "convert": (_convert, True),
+    "norm": (_norm, False),
+    "eval": (_eval, False),
+    "dim": (_dim, False),
+    "classify": (_classify, True),
+    "explain": (_explain, True),
+    "list": (_list, False),
 }
 
 
@@ -274,12 +279,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     if not 0 <= args.digits <= MAX_DECIMAL_DIGITS:
         print(f"error: --digits must be between 0 and {MAX_DECIMAL_DIGITS}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    body, reads_rules = _COMMANDS[args.command]
     try:
-        system, rules = load_registry(
-            *[read_registry(item) for item in registries],
-            include_pathological=not args.no_pathological_rules,
-        )
-        code, fields, lines = _COMMANDS[args.command](system, rules, args)
+        texts = [read_registry(item) for item in registries]
+        document = merge_documents(parse_document(text) for text in texts)
+        if not reads_rules:
+            document = replace(document, rules=())
+        system, rules = build_system(document, include_pathological=not args.no_pathological_rules)
+        code, fields, lines = body(system, rules, args)
     except _INPUT_ERRORS as error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from graphlib import CycleError, TopologicalSorter
 from math import gcd
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Union
@@ -33,7 +34,7 @@ from .model import (
     root,
     strip,
 )
-from .numeric import ONE, ratio_bits, ratio_check_bits, ratio_inv
+from .numeric import MAX_RATIO_BITS, ONE, RatioError, ratio_bits, ratio_check_bits, ratio_inv
 
 __all__ = [
     "ClassificationReport",
@@ -74,17 +75,13 @@ class NotWellDefiningError(ConversionError):
         super().__init__(f"rules are not well-defining; dependency cycle: {loop}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)  # canonical order: (source, ratio, target)
 class ConvTriple:
     """One conversion assertion: `source` equals `ratio` times `target`."""
 
     source: Unit
     ratio: Fraction
     target: Unit
-
-
-def _triple_key(triple: ConvTriple) -> tuple:
-    return (triple.source, triple.ratio, triple.target)
 
 
 def _triple_mul(a: ConvTriple, b: ConvTriple) -> ConvTriple:
@@ -109,7 +106,7 @@ class DefiningConversion:
     """
 
     rules: Rules
-    _compiled: Optional[tuple[UnitSystem, Mapping[str, EvaluatedUnit]]] = field(
+    _compiled: Optional[tuple[UnitSystem, Mapping[str, EvaluatedUnit], Mapping[str, str]]] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -197,39 +194,27 @@ def _direct_dependencies(conversion: DefiningConversion) -> dict[str, tuple[str,
 
 
 def _walk(direct: Mapping[str, tuple[str, ...]]) -> tuple[Optional[tuple[str, ...]], list[str]]:
-    """Iterative depth-first walk of the dependencies in deterministic order.
+    """Order the ruled symbols with graphlib, or name a cycle among them.
 
-    Returns the first cycle met, or None together with every ruled
-    symbol in post-order: each after all the ruled symbols it depends on.
+    Each rule's base is added as a predecessor of the ruled symbols its
+    replacement uses, so graphlib's cycle search walks from a rule to its
+    dependencies, from the smallest symbol and through each rule's
+    dependencies in sorted order: the first cycle it meets is the one a
+    depth-first walk in symbol order meets. Static order lists each rule
+    before its dependencies; the reverse is the dependency post-order.
     """
-    UNSEEN, ACTIVE, DONE = 0, 1, 2
-    state = {base: UNSEEN for base in direct}
-    order: list[str] = []
-    for start in sorted(direct):
-        if state[start] != UNSEEN:
-            continue
-        path = [start]
-        iterators = [iter(direct[start])]
-        state[start] = ACTIVE
-        while iterators:
-            descended = False
-            for successor in iterators[-1]:
-                if successor not in direct:
-                    continue
-                if state[successor] == ACTIVE:
-                    return tuple(path[path.index(successor):]), []
-                if state[successor] == UNSEEN:
-                    state[successor] = ACTIVE
-                    path.append(successor)
-                    iterators.append(iter(direct[successor]))
-                    descended = True
-                    break
-            if not descended:
-                finished = path.pop()
-                state[finished] = DONE
-                order.append(finished)
-                iterators.pop()
-    return None, order
+    sorter = TopologicalSorter()
+    for base in sorted(direct):
+        sorter.add(base)
+    for base in sorted(direct):
+        for symbol in direct[base]:
+            if symbol in direct:
+                sorter.add(symbol, base)
+    try:
+        order = list(sorter.static_order())
+    except CycleError as error:
+        return tuple(error.args[1][:-1]), []
+    return None, order[::-1]
 
 
 def analyze(system: UnitSystem, conversion: DefiningConversion) -> DependencyReport:
@@ -306,27 +291,41 @@ def _substitute(normal_forms: Mapping[str, EvaluatedUnit], unit: EvaluatedUnit) 
     return EvaluatedUnit(unit.factor * _power_product(powers, "rewritten factor"), ExponentMap(pairs))
 
 
-def _normal_forms(system: UnitSystem, conversion: DefiningConversion) -> Mapping[str, EvaluatedUnit]:
+def _normal_forms(
+    system: UnitSystem, conversion: DefiningConversion
+) -> tuple[Mapping[str, EvaluatedUnit], Mapping[str, str]]:
     """The fully expanded form of every ruled symbol, compiled once.
 
     For well-founded rules full expansion is a group homomorphism of the
     evaluated root, so each ruled symbol's normal form follows from its
     rule and the normal forms of its dependencies, visited in dependency
     post-order. Prefix values enter through the replacements, so the
-    table is kept for one unit system, matched by identity. Raises
-    NotWellDefiningError on cyclic rules.
+    table is kept for one unit system, matched by identity. A normal
+    form past MAX_RATIO_BITS is left out of the table; its symbol, and
+    every symbol that depends on it, maps instead to the refusal that a
+    conversion reaching it raises. Raises NotWellDefiningError on cyclic
+    rules.
     """
     compiled = conversion._compiled
     if compiled is not None and compiled[0] is system:
-        return compiled[1]
-    cycle, order = _walk(_direct_dependencies(conversion))
+        return compiled[1], compiled[2]
+    direct = _direct_dependencies(conversion)
+    cycle, order = _walk(direct)
     if cycle is not None:
         raise NotWellDefiningError(cycle)
     table: dict[str, EvaluatedUnit] = {}
+    refused: dict[str, str] = {}
     for base in order:
-        table[base] = _substitute(table, _expand_base(system, conversion, base))
-    object.__setattr__(conversion, "_compiled", (system, table))
-    return table
+        reached = [refused[symbol] for symbol in direct[base] if symbol in refused]
+        if reached:
+            refused[base] = reached[0]
+            continue
+        try:
+            table[base] = _substitute(table, _expand_base(system, conversion, base))
+        except RatioError:
+            refused[base] = f"normal form of {base!r} is too large: over MAX_RATIO_BITS = {MAX_RATIO_BITS} bits"
+    object.__setattr__(conversion, "_compiled", (system, table, refused))
+    return table, refused
 
 
 def rwr_star(system: UnitSystem, conversion: DefiningConversion, unit: Unit) -> EvaluatedUnit:
@@ -336,9 +335,17 @@ def rwr_star(system: UnitSystem, conversion: DefiningConversion, unit: Unit) -> 
     reach. That bound is worked out once per rule set and system, into a
     table of each ruled symbol's normal form, so a unit is expanded by
     one evaluation and one substitution pass over its root. Raises
-    NotWellDefiningError on cyclic rules, before the unit is looked at.
+    NotWellDefiningError on cyclic rules, before the unit is looked at,
+    and RatioError naming the symbol when the unit reaches a ruled
+    symbol whose normal form passes MAX_RATIO_BITS.
     """
-    return _substitute(_normal_forms(system, conversion), evaluate(system, unit))
+    table, refused = _normal_forms(system, conversion)
+    evaluated = evaluate(system, unit)
+    if refused:
+        for base in evaluated.root:
+            if base in refused:
+                raise RatioError(refused[base])
+    return _substitute(table, evaluated)
 
 
 def convert(
@@ -378,7 +385,7 @@ def check_triples(
     in canonical order so the report is deterministic.
     """
     seen: dict[tuple[Unit, Unit], Fraction] = {}
-    for triple in sorted(triples, key=_triple_key):
+    for triple in sorted(triples):
         if dim(system, triple.source) != dim(system, triple.target):
             return ("dimension-mismatch", triple)
         key = (triple.source, triple.target)
@@ -465,7 +472,7 @@ def explore_closure(
 
     initial: set[ConvTriple] = set()
     admit(identity, initial)
-    for triple in sorted(triples, key=_triple_key):
+    for triple in sorted(triples):
         admit(triple, initial)
     working |= initial
     frontier = initial
@@ -490,8 +497,8 @@ def explore_closure(
         mentioned = {t.source for t in working} | {t.target for t in working} | seed_units
         seed_units = set()
         strip_triples(mentioned, fresh)
-        ordered_frontier = sorted(frontier, key=_triple_key)
-        ordered_working = sorted(working, key=_triple_key)
+        ordered_frontier = sorted(frontier)
+        ordered_working = sorted(working)
         for triple in ordered_frontier:
             admit(_triple_inv(triple), fresh)
         for left in ordered_frontier:
@@ -502,7 +509,7 @@ def explore_closure(
         # triple with the other's inverse, a genuine closure member,
         # surfaced without waiting for the product rounds to reach it.
         by_pair: dict[tuple[Unit, Unit], Fraction] = {}
-        for triple in ordered_working + sorted(fresh, key=_triple_key):
+        for triple in ordered_working + sorted(fresh):
             key = (triple.source, triple.target)
             if key in by_pair and by_pair[key] != triple.ratio:
                 admit(ConvTriple(em_empty(), triple.ratio / by_pair[key], em_empty()), fresh)
@@ -524,7 +531,7 @@ def explore_closure(
             key=lambda t: (max(t.ratio.numerator, t.ratio.denominator), t.ratio < 1),
         )
         folded: set[ConvTriple] = set()
-        for triple in sorted(working, key=_triple_key):
+        for triple in sorted(working):
             admit(_triple_mul(triple, witness), folded)
         working |= folded
 

@@ -114,11 +114,8 @@ _SYMBOL_RE = re.compile(rf"{_SEGMENT}(?:_{_SEGMENT})*\Z")
 _PLAIN_SYMBOL_RE = re.compile(rf"{_SEGMENT}\Z")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "ident" | "number" | one of "*/^()" | "end"
-    text: str
-    position: int
+# (kind, text, position); kind is "ident" | "number" | one of "*/^()" | "end".
+_Token = tuple[str, str, int]
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -131,25 +128,33 @@ def _tokenize(text: str) -> list[_Token]:
             pos += 1
             continue
         if ch in "*/^()":
-            tokens.append(_Token(ch, ch, pos))
+            tokens.append((ch, ch, pos))
             pos += 1
             continue
         match = _NUMBER_RE.match(text, pos)
         if match and (ch.isdigit() or ch == "-"):
-            tokens.append(_Token("number", match.group(), pos))
+            tokens.append(("number", match.group(), pos))
             pos = match.end()
             continue
         match = _IDENT_RE.match(text, pos)
         if match:
-            tokens.append(_Token("ident", match.group(), pos))
+            tokens.append(("ident", match.group(), pos))
             pos = match.end()
             continue
         raise UnitSyntaxError(f"unexpected character {ch!r}", pos)
-    tokens.append(_Token("end", "", length))
+    tokens.append(("end", "", length))
     return tokens
 
 
 Resolver = Callable[[str, int], ExponentMap]
+
+
+def _exponent(text: str, position: int) -> int:
+    """An exponent literal's value, refused past MAX_UNIT_EXPONENT before `int` reads it."""
+    digits = text.lstrip("-0")
+    if len(digits) > len(str(MAX_UNIT_EXPONENT)) or int(digits or "0") > MAX_UNIT_EXPONENT:
+        raise UnitSyntaxError(f"exponent magnitude is over MAX_UNIT_EXPONENT = {MAX_UNIT_EXPONENT}", position)
+    return int(text)
 
 
 class _ExpressionParser:
@@ -180,9 +185,9 @@ class _ExpressionParser:
         return token
 
     def _expect(self, kind: str) -> _Token:
-        token = self._peek()
-        if token.kind != kind:
-            raise UnitSyntaxError(f"expected {kind!r}, found {token.text or 'end of input'!r}", token.position)
+        found, text, position = self._peek()
+        if found != kind:
+            raise UnitSyntaxError(f"expected {kind!r}, found {text or 'end of input'!r}", position)
         return self._advance()
 
     def _scale(self, start: int, exponent: int) -> None:
@@ -190,53 +195,48 @@ class _ExpressionParser:
 
     def parse(self) -> ExponentMap:
         self._expression()
-        tail = self._peek()
-        if tail.kind != "end":
-            raise UnitSyntaxError(f"unexpected trailing input {tail.text!r}", tail.position)
+        kind, text, position = self._peek()
+        if kind != "end":
+            raise UnitSyntaxError(f"unexpected trailing input {text!r}", position)
         return ExponentMap(self._pairs)
 
     def _expression(self) -> None:
         self._term()
-        while self._peek().kind in ("*", "/"):
-            op = self._advance()
+        while self._peek()[0] in ("*", "/"):
+            op = self._advance()[0]
             start = len(self._pairs)
             self._term()
-            if op.kind == "/":
+            if op == "/":
                 self._scale(start, -1)
 
     def _term(self) -> None:
         start = len(self._pairs)
         self._atom()
-        if self._peek().kind == "^":
+        if self._peek()[0] == "^":
             self._advance()
-            token = self._expect("number")
-            digits = token.text.lstrip("-0")
-            if len(digits) > len(str(MAX_UNIT_EXPONENT)) or int(digits or "0") > MAX_UNIT_EXPONENT:
-                raise UnitSyntaxError(
-                    f"exponent magnitude is over MAX_UNIT_EXPONENT = {MAX_UNIT_EXPONENT}", token.position
-                )
-            self._scale(start, int(token.text))
+            _, text, position = self._expect("number")
+            self._scale(start, _exponent(text, position))
 
     def _atom(self) -> None:
-        token = self._peek()
-        if token.kind == "ident":
+        kind, text, position = self._peek()
+        if kind == "ident":
             self._advance()
-            self._pairs.extend(self._resolver(token.text, token.position).items())
-        elif token.kind == "(":
+            self._pairs.extend(self._resolver(text, position).items())
+        elif kind == "(":
             if self._depth == MAX_UNIT_NESTING:
                 raise UnitSyntaxError(
-                    f"parentheses nest deeper than MAX_UNIT_NESTING = {MAX_UNIT_NESTING}", token.position
+                    f"parentheses nest deeper than MAX_UNIT_NESTING = {MAX_UNIT_NESTING}", position
                 )
             self._advance()
             self._depth += 1
             self._expression()
             self._depth -= 1
             self._expect(")")
-        elif token.kind == "number" and token.text == "1":
+        elif kind == "number" and text == "1":
             self._advance()
         else:
             raise UnitSyntaxError(
-                f"expected a symbol, '(' or 1, found {token.text or 'end of input'!r}", token.position
+                f"expected a symbol, '(' or 1, found {text or 'end of input'!r}", position
             )
 
 
@@ -271,13 +271,14 @@ def _prefix_chain(system: UnitSystem, head: str) -> Optional[list[str]]:
     return chain
 
 
-def _resolve_explicit(system: UnitSystem, text: str) -> Optional[Unit]:
+def _resolve_explicit(system: UnitSystem, text: str, position: int) -> Optional[Unit]:
     """Resolve an underscore-joined identifier: prefix segments, then base.
 
     The base unit is the longest underscore-joined tail that names a
     registered base unit (base symbols may themselves contain
     underscores); every leading segment must be `prefix` or
-    `prefix^exponent`.
+    `prefix^exponent`, the exponent bounded as in `^` terms. `position`
+    is the identifier's offset in the text, for errors.
     """
     segments = text.split("_")
     longest = max(map(len, system.base_units), default=0)
@@ -290,20 +291,15 @@ def _resolve_explicit(system: UnitSystem, text: str) -> Optional[Unit]:
         if "^" in tail or tail not in system.base_units:
             continue
         pairs: list[tuple[str, int]] = []
+        offset = position
         for segment in segments[:split]:
             symbol, caret, exponent_text = segment.partition("^")
-            if caret:
-                try:
-                    exponent = int(exponent_text)
-                except ValueError:
-                    pairs = []
-                    break
-            else:
-                exponent = 1
+            exponent = _exponent(exponent_text, offset + len(symbol) + 1) if caret else 1
             if symbol not in system.base_prefixes:
                 pairs = []
                 break
             pairs.append((symbol, exponent))
+            offset += len(segment) + 1
         else:
             return em_delta(PreUnit(ExponentMap(pairs), tail))
     return None
@@ -325,7 +321,7 @@ def _resolve_greedy(system: UnitSystem, text: str) -> Optional[Unit]:
 def _resolve_identifier(system: UnitSystem, text: str, position: int = 0) -> Unit:
     if text in system.base_units:
         return em_delta(PreUnit(em_empty(), text))
-    resolved = _resolve_explicit(system, text) if "_" in text else _resolve_greedy(system, text)
+    resolved = _resolve_explicit(system, text, position) if "_" in text else _resolve_greedy(system, text)
     if resolved is None:
         raise UnknownIdentifierError(f"unknown unit identifier {text!r}", position)
     return resolved
@@ -393,13 +389,7 @@ def _print_preunit(system: UnitSystem, preunit: PreUnit) -> str:
 
 def print_unit(system: UnitSystem, unit: Unit) -> str:
     """Canonical text for a unit; parse_unit inverts it exactly."""
-    if not unit:
-        return "1"
-    parts = []
-    for preunit, exponent in unit.items():
-        text = _print_preunit(system, preunit)
-        parts.append(text if exponent == 1 else f"{text}^{exponent}")
-    return "*".join(parts)
+    return _print_factors((_print_preunit(system, preunit), z) for preunit, z in unit.items())
 
 
 def print_normalized(system: UnitSystem, normalized: NormalizedUnit) -> str:

@@ -48,6 +48,21 @@ c 1 a
 """
 
 
+# y's normal form is 2^20000 * z, past MAX_RATIO_BITS; w depends on y.
+OVERSIZED_TEXT = """\
+[units]
+x L
+y L
+z L
+w L^2
+
+[rules]
+x 2 z
+y 1 x^20000*z^-19999
+w 3 y*m
+"""
+
+
 @pytest.fixture
 def litre_path(tmp_path):
     path = tmp_path / "litre.reg"
@@ -148,6 +163,18 @@ def test_classify_reports_cycle_without_failing(capsys, cyclic_path):
     assert payload["witness"] == "1 = 6 * 1"
 
 
+def test_only_convert_classify_and_explain_build_the_rules(capsys, tmp_path):
+    broken = tmp_path / "bad-rule.reg"
+    broken.write_text("[rules]\nm 1 bogus\n", encoding="utf-8")
+    registries = ("--registry", "si", "--registry", str(broken))
+    for argv in (("norm", "km"), ("eval", "km"), ("dim", "km"), ("list", "units")):
+        code, out, _ = run(capsys, *argv, *registries)
+        assert code == 0 and out, argv
+    for argv in (("convert", "m", "m"), ("classify",), ("explain", "m")):
+        code, out, err = run(capsys, *argv, *registries)
+        assert code == 2 and not out and "line 2" in err, argv
+
+
 def run_within_a_second(capsys, *argv):
     start = time.perf_counter()
     outcome = run(capsys, *argv)
@@ -173,7 +200,7 @@ def test_classify_refuses_a_witness_past_the_ratio_limit(capsys, tmp_path):
 
 def test_ratios_past_the_limit_exit_two(capsys):
     # The prefix value is refused before the power is taken.
-    for text in ("Ym^200", "Ym^100000", "k^999999999999_m"):
+    for text in ("Ym^200", "Ym^100000", "k^1000000000_m"):
         code, out, err = run_within_a_second(capsys, "eval", text)
         assert code == 2 and not out and "MAX_RATIO_BITS" in err
     code, out, err = run_within_a_second(capsys, "convert", "Ym^200", "m^200", "--format", "structured")
@@ -182,6 +209,18 @@ def test_ratios_past_the_limit_exit_two(capsys):
     for argv in (("convert", "lb^100000", "kg^100000"), ("explain", "lb^100000")):
         code, out, err = run_within_a_second(capsys, *argv, "--registry", "si", "--registry", "uk")
         assert code == 2 and not out and "MAX_RATIO_BITS" in err
+
+
+def test_an_oversized_normal_form_refuses_only_the_conversions_that_reach_it(capsys, tmp_path):
+    registry = tmp_path / "oversized.reg"
+    registry.write_text(OVERSIZED_TEXT, encoding="utf-8")
+    registries = ("--registry", "si", "--registry", str(registry))
+    code, out, _ = run_within_a_second(capsys, "convert", "km", "m", *registries)
+    assert code == 0 and out.splitlines()[0] == "ratio: 1000"
+    for source in ("y", "w"):
+        code, out, err = run_within_a_second(capsys, "convert", source, "m", *registries)
+        assert code == 2 and not out and "normal form of 'y' is too large" in err
+        assert "MAX_RATIO_BITS" in err
 
 
 def test_classify_bundled_registry(capsys):
@@ -285,8 +324,10 @@ def test_argparse_rejects_missing_command():
         ("(" * 400 + "m" + ")" * 400, "MAX_UNIT_NESTING"),
         ("m^" + "9" * 5000, "MAX_UNIT_EXPONENT"),
         ("km^999999999999", "MAX_UNIT_EXPONENT"),
+        ("k^1000000001_m", "MAX_UNIT_EXPONENT"),
+        ("k^" + "9" * 5000 + "_m", "MAX_UNIT_EXPONENT"),
     ],
-    ids=["nesting", "digits", "magnitude"],
+    ids=["nesting", "digits", "magnitude", "explicit-magnitude", "explicit-digits"],
 )
 def test_expressions_past_a_limit_exit_two(capsys, tmp_path, text, limit):
     code, out, err = run_within_a_second(capsys, "dim", text)

@@ -140,6 +140,45 @@ def test_analyze_detects_cycles():
     assert report.depth is None and report.iteration_bound is None
 
 
+def rule_graph(graph):
+    """Rules over bases a..g, x and y, each rewriting its base to the product of its symbols."""
+    system = dimensionless_system("abcdefgxy")
+    rules = {base: (Fraction(2), unit_of(*((symbol, 1) for symbol in uses))) for base, uses in graph.items()}
+    return system, defining_conversion(system, rules)
+
+
+@pytest.mark.parametrize(
+    "graph, witness",
+    [
+        ({"a": "b", "b": "c", "c": "a", "d": "a"}, ("a", "b", "c")),
+        ({"x": "y", "y": "x", "a": "b", "b": "a"}, ("a", "b")),
+        ({"a": "ab"}, ("a",)),
+    ],
+    ids=["feeder", "two-cycles", "self-loop"],
+)
+def test_analyze_names_the_first_cycle_in_rule_order(graph, witness):
+    system, rules = rule_graph(graph)
+    assert analyze(system, rules).cycle_witness == witness
+    assert classify(system, rules).cycle_witness == witness
+
+
+@given(st.dictionaries(st.sampled_from("abcdef"), st.lists(st.sampled_from("abcdefg"), max_size=3)))
+def test_analyze_names_a_real_cycle_or_the_depths_of_a_dag(graph):
+    system, rules = rule_graph(graph)
+    report = analyze(system, rules)
+    if report.well_founded:
+        for base in system.base_units:
+            uses = graph.get(base)
+            expected = 0 if uses is None else 1 + max((report.depth[s] for s in uses), default=0)
+            assert report.depth[base] == expected
+        assert report.iteration_bound == max(report.depth.values())
+    else:
+        cycle = report.cycle_witness
+        assert len(set(cycle)) == len(cycle)
+        for here, following in zip(cycle, cycle[1:] + cycle[:1]):
+            assert following in graph[here]
+
+
 def test_xpd_returns_rule_or_identity():
     ratio, replacement = xpd(SI, SI_RULES, "N")
     assert ratio == 1
@@ -489,6 +528,18 @@ def test_analyze_and_classify_are_linear_on_a_chain_of_5000_rules():
         started = time.perf_counter()
         assert run(system, rules).iteration_bound == 4999
         assert time.perf_counter() - started < 1
+
+
+def test_an_oversized_normal_form_refuses_only_the_conversions_that_reach_it(si_pair):
+    extra = "[units]\nx L\ny L\nz L\nw L^2\n[rules]\nx 2 z\ny 1 x^20000*z^-19999\nw 3 y*m\n"
+    started = time.perf_counter()
+    system, rules = load_registry(bundled_registry("si"), extra)
+    assert convert(system, rules, parse_unit(system, "km"), bare("m")) == 1000
+    assert convert(system, rules, bare("x"), bare("z")) == 2
+    for source in ("y", "w", "y*x"):
+        with pytest.raises(RatioError, match="normal form of 'y' is too large: over MAX_RATIO_BITS"):
+            convert(system, rules, parse_unit(system, source), bare("m"))
+    assert time.perf_counter() - started < 1
 
 
 def test_rule_factor_powers_are_bounded_before_they_are_taken(siuk_pair):

@@ -278,6 +278,14 @@ def test_grammar_bounds_exponent_magnitude():
         assert info.value.position == 2
 
 
+def test_explicit_prefix_exponents_are_bounded():
+    assert parse_unit(SI, f"k^{MAX_UNIT_EXPONENT}_m") == em_delta(as_preunit("m", {"k": MAX_UNIT_EXPONENT}))
+    for exponent in (str(MAX_UNIT_EXPONENT + 1), "-" + "9" * 5000):
+        with pytest.raises(UnitSyntaxError, match="MAX_UNIT_EXPONENT") as info:
+            parse_unit(SI, f"s*d_k^{exponent}_m")
+        assert info.value.position == 6
+
+
 def test_unknown_identifier_carries_position():
     with pytest.raises(UnknownIdentifierError) as info:
         parse_unit(SI, "m*bogus")

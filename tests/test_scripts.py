@@ -32,6 +32,14 @@ def test_depth_report_on_a_chain_of_a_thousand_rules(capsys, monkeypatch, tmp_pa
     assert lines[-2].startswith(f"{first}  depth 999  depends on: ")
 
 
+def test_prefix_census_default_run(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["prefix_census.py"])
+    runpy.run_path(str(SCRIPTS / "prefix_census.py"), run_name="__main__")
+    lines = capsys.readouterr().out.splitlines()
+    assert "matching spellings: 44" in lines
+    assert "within |exponent| <= 24: 39" in lines
+
+
 def test_transitive_dependencies_are_transitive():
     report = analyze(SI, SI_RULES)
     edges = transitive_dependencies(SI_RULES, report.depth)
