@@ -13,8 +13,9 @@ here, by `transitive_dependencies`, in the same depth order.
 from __future__ import annotations
 
 import argparse
+import sys
 
-from unical import analyze, load_registry, read_registry, root
+from unical import RegistryError, analyze, load_registry, read_registry, root
 
 
 def transitive_dependencies(rules, depth) -> dict[str, frozenset[str]]:
@@ -59,7 +60,12 @@ def main() -> None:
         help="skip rules flagged !pathological",
     )
     args = parser.parse_args()
-    run(args.registry or ["si"], include_pathological=not args.no_pathological_rules)
+    try:
+        run(args.registry or ["si"], include_pathological=not args.no_pathological_rules)
+    except (RegistryError, OSError) as error:
+        # Reported as the CLI reports a bad registry, with its exit status.
+        print(f"error: {error}", file=sys.stderr)
+        sys.exit(2)
 
 
 if __name__ == "__main__":

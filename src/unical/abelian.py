@@ -11,7 +11,6 @@ generic evaluation possible.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import total_ordering
 from typing import Any, Callable, Generic, Iterable, Iterator, TypeVar, Union
 
@@ -35,8 +34,25 @@ T = TypeVar("T")
 Entries = Union[Mapping[Any, int], Iterable[tuple[Any, int]]]
 
 
+class Immutable:
+    """Base of the package's value classes: attributes cannot be set or deleted.
+
+    Subclasses list their fields in `__slots__`, set them in `__init__`
+    through `object.__setattr__`, and write their own `__eq__`,
+    `__hash__` and `__repr__` over exactly those fields.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 @total_ordering
-class ExponentMap:
+class ExponentMap(Immutable):
     """Immutable finitely supported map from generators to nonzero integers.
 
     The constructor accepts a mapping or an iterable of (generator,
@@ -59,9 +75,6 @@ class ExponentMap:
             elif generator in acc:
                 del acc[generator]
         object.__setattr__(self, "_entries", tuple(sorted(acc.items(), key=lambda kv: kv[0])))
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError("ExponentMap is immutable")
 
     def items(self) -> tuple[tuple[Any, int], ...]:
         """Canonically ordered (generator, exponent) pairs."""
@@ -115,8 +128,7 @@ class ExponentMap:
         return "ExponentMap({%s})" % inner
 
 
-@dataclass(frozen=True)
-class GroupInterface(Generic[T]):
+class GroupInterface(Immutable, Generic[T]):
     """An abelian group given by its operations.
 
     `combine` is the binary operation, `invert` the inverse, `neutral` the
@@ -124,9 +136,23 @@ class GroupInterface(Generic[T]):
     groups without committing to a representation.
     """
 
-    combine: Callable[[T, T], T]
-    invert: Callable[[T], T]
-    neutral: T
+    __slots__ = ("combine", "invert", "neutral")
+
+    def __init__(self, combine: Callable[[T, T], T], invert: Callable[[T], T], neutral: T):
+        object.__setattr__(self, "combine", combine)
+        object.__setattr__(self, "invert", invert)
+        object.__setattr__(self, "neutral", neutral)
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.combine, self.invert, self.neutral) == (other.combine, other.invert, other.neutral)
+
+    def __hash__(self) -> int:
+        return hash((self.combine, self.invert, self.neutral))
+
+    def __repr__(self) -> str:
+        return f"GroupInterface(combine={self.combine!r}, invert={self.invert!r}, neutral={self.neutral!r})"
 
 
 _EMPTY = ExponentMap()

@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from typing import Optional
 
 from .abelian import em_inv, em_mul
@@ -183,7 +182,14 @@ def _explain(system: UnitSystem, rules: DefiningConversion, args: argparse.Names
     start = print_evaluated(system, state)
     steps = []
     for _ in range(report.iteration_bound):
-        advanced = rwr_eval(system, rules, state)
+        try:
+            advanced = rwr_eval(system, rules, state)
+        except RatioError:
+            # When the unit reaches a ruled symbol whose normal form is
+            # too large, rwr_star raises the error that names it; else
+            # this pass's own error stands.
+            rwr_star(system, rules, unit)
+            raise
         if advanced == state:
             break
         state = advanced
@@ -284,7 +290,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         texts = [read_registry(item) for item in registries]
         document = merge_documents(parse_document(text) for text in texts)
         if not reads_rules:
-            document = replace(document, rules=())
+            document = document._replace(rules=())
         system, rules = build_system(document, include_pathological=not args.no_pathological_rules)
         code, fields, lines = body(system, rules, args)
     except _INPUT_ERRORS as error:

@@ -14,14 +14,14 @@ does not use).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from graphlib import CycleError, TopologicalSorter
 from math import gcd
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Union
+from functools import total_ordering
+from typing import Any, Iterable, Mapping, Optional, Union
 
-from .abelian import ExponentMap, em_delta, em_empty, em_inv, em_mul
+from .abelian import ExponentMap, Immutable, em_delta, em_empty, em_inv, em_mul
 from .model import (
     EvaluatedUnit,
     PreUnit,
@@ -75,13 +75,35 @@ class NotWellDefiningError(ConversionError):
         super().__init__(f"rules are not well-defining; dependency cycle: {loop}")
 
 
-@dataclass(frozen=True, order=True)  # canonical order: (source, ratio, target)
-class ConvTriple:
-    """One conversion assertion: `source` equals `ratio` times `target`."""
+@total_ordering
+class ConvTriple(Immutable):
+    """One conversion assertion: `source` equals `ratio` times `target`.
 
-    source: Unit
-    ratio: Fraction
-    target: Unit
+    Triples are ordered canonically, by (source, ratio, target).
+    """
+
+    __slots__ = ("source", "ratio", "target")
+
+    def __init__(self, source: Unit, ratio: Fraction, target: Unit):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "ratio", ratio)
+        object.__setattr__(self, "target", target)
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.source, self.ratio, self.target) == (other.source, other.ratio, other.target)
+
+    def __hash__(self) -> int:
+        return hash((self.source, self.ratio, self.target))
+
+    def __lt__(self, other: "ConvTriple") -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.source, self.ratio, self.target) < (other.source, other.ratio, other.target)
+
+    def __repr__(self) -> str:
+        return f"ConvTriple(source={self.source!r}, ratio={self.ratio!r}, target={self.target!r})"
 
 
 def _triple_mul(a: ConvTriple, b: ConvTriple) -> ConvTriple:
@@ -95,23 +117,34 @@ def _triple_inv(a: ConvTriple) -> ConvTriple:
 Rules = Mapping[str, tuple[Fraction, Unit]]
 
 
-@dataclass(frozen=True)
-class DefiningConversion:
+class DefiningConversion(Immutable):
     """Validated rule set: base-unit symbol -> (ratio, replacement unit).
 
     Build these through `defining_conversion`, which checks the shape;
     the constructor itself only freezes the mapping. The normal-form
     table that `rwr_star` and `convert` use is compiled on first use and
-    kept here, together with the unit system it was compiled against.
+    kept in `_compiled`, together with the unit system it was compiled
+    against; equality and the repr leave it out.
     """
 
-    rules: Rules
-    _compiled: Optional[tuple[UnitSystem, Mapping[str, EvaluatedUnit], Mapping[str, str]]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    __slots__ = ("rules", "_compiled")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rules", MappingProxyType(dict(self.rules)))
+    _compiled: Optional[tuple[UnitSystem, Mapping[str, EvaluatedUnit], Mapping[str, str]]]
+
+    def __init__(self, rules: Rules):
+        object.__setattr__(self, "rules", MappingProxyType(dict(rules)))
+        object.__setattr__(self, "_compiled", None)
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rules == other.rules
+
+    def __hash__(self) -> int:
+        return hash((self.rules,))
+
+    def __repr__(self) -> str:
+        return f"DefiningConversion(rules={self.rules!r})"
 
     def triples(self) -> list[ConvTriple]:
         """The rule set as conversion triples, in symbol order."""
@@ -165,8 +198,7 @@ def defining_conversion(system: UnitSystem, rules: Mapping[str, tuple]) -> Defin
     return DefiningConversion(checked)
 
 
-@dataclass(frozen=True)
-class DependencyReport:
+class DependencyReport(Immutable):
     """Dependency structure of a defining conversion.
 
     A rule depends directly on the symbols in the support of its
@@ -180,10 +212,37 @@ class DependencyReport:
     `scripts/depth_report.py`, the one reader that needs them.
     """
 
-    well_founded: bool
-    cycle_witness: Optional[tuple[str, ...]]
-    depth: Optional[Mapping[str, int]]
-    iteration_bound: Optional[int]
+    __slots__ = ("well_founded", "cycle_witness", "depth", "iteration_bound")
+
+    def __init__(
+        self,
+        well_founded: bool,
+        cycle_witness: Optional[tuple[str, ...]],
+        depth: Optional[Mapping[str, int]],
+        iteration_bound: Optional[int],
+    ):
+        object.__setattr__(self, "well_founded", well_founded)
+        object.__setattr__(self, "cycle_witness", cycle_witness)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "iteration_bound", iteration_bound)
+
+    def _key(self) -> tuple:
+        return (self.well_founded, self.cycle_witness, self.depth, self.iteration_bound)
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"DependencyReport(well_founded={self.well_founded!r}, "
+            f"cycle_witness={self.cycle_witness!r}, depth={self.depth!r}, "
+            f"iteration_bound={self.iteration_bound!r})"
+        )
 
 
 def _direct_dependencies(conversion: DefiningConversion) -> dict[str, tuple[str, ...]]:
@@ -398,8 +457,7 @@ def check_triples(
 _CLOSURE_BOUNDS = ("max_steps", "max_word", "max_triples")
 
 
-@dataclass(frozen=True)
-class ClosureExploration:
+class ClosureExploration(Immutable):
     """Bounded fragment of a triple set's closure.
 
     `witness` holds a triple relating the empty unit to itself at a ratio
@@ -412,9 +470,31 @@ class ClosureExploration:
     is not a proof of consistency.
     """
 
-    triples: frozenset[ConvTriple]
-    witness: Optional[ConvTriple]
-    bounds_hit: tuple[str, ...]
+    __slots__ = ("triples", "witness", "bounds_hit")
+
+    def __init__(
+        self, triples: frozenset[ConvTriple], witness: Optional[ConvTriple], bounds_hit: tuple[str, ...]
+    ):
+        object.__setattr__(self, "triples", triples)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "bounds_hit", bounds_hit)
+
+    def _key(self) -> tuple:
+        return (self.triples, self.witness, self.bounds_hit)
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"ClosureExploration(triples={self.triples!r}, witness={self.witness!r}, "
+            f"bounds_hit={self.bounds_hit!r})"
+        )
 
     @property
     def truncated(self) -> bool:
@@ -621,19 +701,67 @@ def _relation_witness(system: UnitSystem, conversion: DefiningConversion) -> Opt
     return None
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    """Where a rule set sits in the hierarchy of conversion shapes."""
+class ClassificationReport(Immutable):
+    """Where a rule set sits in the hierarchy of conversion shapes.
 
-    is_defining: bool
-    is_well_defining: bool
-    is_regular: bool
-    # "guaranteed" | "witness_found"; decided exactly for every rule
-    # mapping, so never "unknown".
-    consistency: str
-    witness: Optional[ConvTriple] = None
-    cycle_witness: Optional[tuple[str, ...]] = None
-    iteration_bound: Optional[int] = None
+    `consistency` is "guaranteed" or "witness_found"; it is decided
+    exactly for every rule mapping, so never "unknown".
+    """
+
+    __slots__ = (
+        "is_defining",
+        "is_well_defining",
+        "is_regular",
+        "consistency",
+        "witness",
+        "cycle_witness",
+        "iteration_bound",
+    )
+
+    def __init__(
+        self,
+        is_defining: bool,
+        is_well_defining: bool,
+        is_regular: bool,
+        consistency: str,
+        witness: Optional[ConvTriple] = None,
+        cycle_witness: Optional[tuple[str, ...]] = None,
+        iteration_bound: Optional[int] = None,
+    ):
+        object.__setattr__(self, "is_defining", is_defining)
+        object.__setattr__(self, "is_well_defining", is_well_defining)
+        object.__setattr__(self, "is_regular", is_regular)
+        object.__setattr__(self, "consistency", consistency)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "cycle_witness", cycle_witness)
+        object.__setattr__(self, "iteration_bound", iteration_bound)
+
+    def _key(self) -> tuple:
+        return (
+            self.is_defining,
+            self.is_well_defining,
+            self.is_regular,
+            self.consistency,
+            self.witness,
+            self.cycle_witness,
+            self.iteration_bound,
+        )
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"ClassificationReport(is_defining={self.is_defining!r}, "
+            f"is_well_defining={self.is_well_defining!r}, is_regular={self.is_regular!r}, "
+            f"consistency={self.consistency!r}, witness={self.witness!r}, "
+            f"cycle_witness={self.cycle_witness!r}, iteration_bound={self.iteration_bound!r})"
+        )
 
 
 def classify(

@@ -16,7 +16,6 @@ together with the maps between them and equality at each level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from types import MappingProxyType
@@ -25,6 +24,7 @@ from typing import Any, Iterable, Mapping
 from .abelian import (
     ExponentMap,
     GroupInterface,
+    Immutable,
     em_delta,
     em_empty,
     em_eval,
@@ -79,8 +79,7 @@ class UnknownSymbolError(LookupError):
 
 
 @total_ordering
-@dataclass(frozen=True)
-class PreUnit:
+class PreUnit(Immutable):
     """A base-unit symbol under a prefix word.
 
     The prefix is an exponent map over prefix symbols; the empty map means
@@ -88,58 +87,116 @@ class PreUnit:
     renderings group factors of the same base unit together.
     """
 
-    prefix: Prefix
-    base: str
+    __slots__ = ("prefix", "base")
+
+    def __init__(self, prefix: Prefix, base: str):
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "base", base)
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.prefix == other.prefix and self.base == other.base
+
+    def __hash__(self) -> int:
+        return hash((self.prefix, self.base))
 
     def __lt__(self, other: "PreUnit") -> bool:
         if not isinstance(other, PreUnit):
             return NotImplemented
         return (self.base, self.prefix) < (other.base, other.prefix)
 
+    def __repr__(self) -> str:
+        return f"PreUnit(prefix={self.prefix!r}, base={self.base!r})"
 
-@dataclass(frozen=True)
-class NormalizedUnit:
+
+class NormalizedUnit(Immutable):
     """Prefix word and root, kept separate but not yet evaluated."""
 
-    prefix: Prefix
-    root: RootUnit
+    __slots__ = ("prefix", "root")
+
+    def __init__(self, prefix: Prefix, root: RootUnit):
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "root", root)
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.prefix == other.prefix and self.root == other.root
+
+    def __hash__(self) -> int:
+        return hash((self.prefix, self.root))
+
+    def __repr__(self) -> str:
+        return f"NormalizedUnit(prefix={self.prefix!r}, root={self.root!r})"
 
 
-@dataclass(frozen=True)
-class EvaluatedUnit:
+class EvaluatedUnit(Immutable):
     """Exact scale factor and root."""
 
-    factor: Fraction
-    root: RootUnit
+    __slots__ = ("factor", "root")
+
+    def __init__(self, factor: Fraction, root: RootUnit):
+        object.__setattr__(self, "factor", factor)
+        object.__setattr__(self, "root", root)
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.factor == other.factor and self.root == other.root
+
+    def __hash__(self) -> int:
+        return hash((self.factor, self.root))
+
+    def __repr__(self) -> str:
+        return f"EvaluatedUnit(factor={self.factor!r}, root={self.root!r})"
 
 
-@dataclass(frozen=True)
-class AbstractUnit:
+class AbstractUnit(Immutable):
     """Exact scale factor and dimension; the coarsest faithful view."""
 
-    factor: Fraction
-    dimension: Dimension
+    __slots__ = ("factor", "dimension")
+
+    def __init__(self, factor: Fraction, dimension: Dimension):
+        object.__setattr__(self, "factor", factor)
+        object.__setattr__(self, "dimension", dimension)
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.factor == other.factor and self.dimension == other.dimension
+
+    def __hash__(self) -> int:
+        return hash((self.factor, self.dimension))
+
+    def __repr__(self) -> str:
+        return f"AbstractUnit(factor={self.factor!r}, dimension={self.dimension!r})"
 
 
-@dataclass(frozen=True)
-class UnitSystem:
+class UnitSystem(Immutable):
     """Immutable registry of dimension, prefix, and base-unit symbols.
 
     `base_prefixes` maps each prefix symbol to its exact positive value;
     `base_units` maps each base-unit symbol to its dimension, an exponent
     map over registered dimension symbols. Construction validates that
     every dimension a unit mentions is registered and every prefix value
-    is a positive rational.
+    is a positive rational. `max_prefix_len` and `max_unit_len`, the
+    lengths of the longest prefix and base-unit symbols, are worked out
+    once here for identifier resolution; equality and the repr leave
+    them out.
     """
 
-    base_dimensions: frozenset[str]
-    base_prefixes: Mapping[str, Fraction]
-    base_units: Mapping[str, Dimension]
+    __slots__ = ("base_dimensions", "base_prefixes", "base_units", "max_prefix_len", "max_unit_len")
 
-    def __post_init__(self) -> None:
-        dimensions = frozenset(self.base_dimensions)
-        prefixes = dict(self.base_prefixes)
-        units = dict(self.base_units)
+    def __init__(
+        self,
+        base_dimensions: Iterable[str],
+        base_prefixes: Mapping[str, Fraction],
+        base_units: Mapping[str, Dimension],
+    ):
+        dimensions = frozenset(base_dimensions)
+        prefixes = dict(base_prefixes)
+        units = dict(base_units)
         for symbol, value in prefixes.items():
             if not isinstance(value, Fraction) or value <= 0:
                 raise ValueError(f"prefix {symbol!r} must have a positive rational value, got {value!r}")
@@ -154,6 +211,26 @@ class UnitSystem:
         object.__setattr__(self, "base_dimensions", dimensions)
         object.__setattr__(self, "base_prefixes", MappingProxyType(prefixes))
         object.__setattr__(self, "base_units", MappingProxyType(units))
+        object.__setattr__(self, "max_prefix_len", max(map(len, prefixes), default=0))
+        object.__setattr__(self, "max_unit_len", max(map(len, units), default=0))
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.base_dimensions, self.base_prefixes, self.base_units) == (
+            other.base_dimensions,
+            other.base_prefixes,
+            other.base_units,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.base_dimensions, self.base_prefixes, self.base_units))
+
+    def __repr__(self) -> str:
+        return (
+            f"UnitSystem(base_dimensions={self.base_dimensions!r}, "
+            f"base_prefixes={self.base_prefixes!r}, base_units={self.base_units!r})"
+        )
 
 
 def _check_unit(system: UnitSystem, unit: Unit) -> None:

@@ -15,10 +15,9 @@ from __future__ import annotations
 import os
 import re
 import unicodedata
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from .abelian import ExponentMap, em_delta, em_empty
 from .convert import DefiningConversion, RuleError, defining_conversion
@@ -256,7 +255,7 @@ def _prefix_chain(system: UnitSystem, head: str) -> Optional[list[str]]:
     match; no slice longer than the longest symbol is tried.
     """
     prefixes = system.base_prefixes
-    longest = max(map(len, prefixes), default=0)
+    longest = system.max_prefix_len
     chain: list[str] = []
     start = 0
     while start < len(head):
@@ -281,7 +280,7 @@ def _resolve_explicit(system: UnitSystem, text: str, position: int) -> Optional[
     is the identifier's offset in the text, for errors.
     """
     segments = text.split("_")
-    longest = max(map(len, system.base_units), default=0)
+    longest = system.max_unit_len
     start = 0
     for split in range(1, len(segments)):
         start += len(segments[split - 1]) + 1
@@ -294,6 +293,9 @@ def _resolve_explicit(system: UnitSystem, text: str, position: int) -> Optional[
         offset = position
         for segment in segments[:split]:
             symbol, caret, exponent_text = segment.partition("^")
+            if caret and not _NUMBER_RE.fullmatch(exponent_text):
+                pairs = []
+                break
             exponent = _exponent(exponent_text, offset + len(symbol) + 1) if caret else 1
             if symbol not in system.base_prefixes:
                 pairs = []
@@ -308,7 +310,7 @@ def _resolve_explicit(system: UnitSystem, text: str, position: int) -> Optional[
 def _resolve_greedy(system: UnitSystem, text: str) -> Optional[Unit]:
     """Resolve `text` as prefix chain + base unit, longest base suffix first."""
     units = system.base_units
-    longest = max(map(len, units), default=0)
+    longest = system.max_unit_len
     for start in range(max(1, len(text) - longest), len(text)):
         base = text[start:]
         if base in units:
@@ -407,22 +409,19 @@ def print_evaluated(system: UnitSystem, evaluated: EvaluatedUnit) -> str:
 # Registry documents
 
 
-@dataclass(frozen=True)
-class _PrefixEntry:
+class _PrefixEntry(NamedTuple):
     symbol: str
     value_text: str
     line: int
 
 
-@dataclass(frozen=True)
-class _UnitEntry:
+class _UnitEntry(NamedTuple):
     symbol: str
     dimension: Dimension  # over dimension symbols, unvalidated until build
     line: int
 
 
-@dataclass(frozen=True)
-class _RuleEntry:
+class _RuleEntry(NamedTuple):
     base: str
     ratio_text: str
     unit_text: str
@@ -430,8 +429,7 @@ class _RuleEntry:
     line: int
 
 
-@dataclass(frozen=True)
-class RegistryDocument:
+class RegistryDocument(NamedTuple):
     """Parsed but not yet validated registry content."""
 
     dimensions: tuple[tuple[str, int], ...] = ()  # (symbol, line)

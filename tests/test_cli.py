@@ -1,9 +1,13 @@
 import json
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import unical
 from unical.cli import main
 from support import chain_registry_text
 
@@ -218,9 +222,27 @@ def test_an_oversized_normal_form_refuses_only_the_conversions_that_reach_it(cap
     code, out, _ = run_within_a_second(capsys, "convert", "km", "m", *registries)
     assert code == 0 and out.splitlines()[0] == "ratio: 1000"
     for source in ("y", "w"):
-        code, out, err = run_within_a_second(capsys, "convert", source, "m", *registries)
-        assert code == 2 and not out and "normal form of 'y' is too large" in err
-        assert "MAX_RATIO_BITS" in err
+        for argv in (("convert", source, "m"), ("explain", source)):
+            code, out, err = run_within_a_second(capsys, *argv, *registries)
+            assert code == 2 and not out and "normal form of 'y' is too large" in err
+            assert "MAX_RATIO_BITS" in err
+    code, out, _ = run_within_a_second(capsys, "explain", "x", *registries)
+    assert code == 0 and out.splitlines()[-1] == "fixpoint: (2, z)"
+
+
+def test_importing_the_cli_loads_no_dataclass_machinery():
+    # -S keeps site hooks out, so only what unical.cli imports is counted.
+    probe = "import sys, unical.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    source_dir = str(Path(unical.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": source_dir},
+        timeout=60,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def test_classify_bundled_registry(capsys):

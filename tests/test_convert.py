@@ -1,3 +1,4 @@
+import operator
 import random
 import time
 from fractions import Fraction
@@ -7,8 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from unical import (
+    ClassificationReport,
     ConvTriple,
     DefiningConversion,
+    DependencyReport,
     ExponentMap,
     NotWellDefiningError,
     RatioError,
@@ -418,6 +421,86 @@ def test_explore_closure_is_deterministic():
     first = explore_closure(system, seeds, max_steps=3, max_word=6)
     second = explore_closure(system, seeds, max_steps=3, max_word=6)
     assert first == second
+
+
+triples = st.builds(
+    ConvTriple,
+    st.sampled_from(["x", "y"]).map(bare),
+    st.sampled_from([Fraction(1, 2), Fraction(2), Fraction(3)]),
+    st.sampled_from(["x", "y", "z"]).map(bare),
+)
+
+
+@given(triples, triples)
+def test_triples_order_by_source_ratio_target(a, b):
+    def key(t):
+        return (t.source, t.ratio, t.target)
+
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge, operator.eq):
+        assert compare(a, b) == compare(key(a), key(b))
+    assert (a == b) == (hash(a) == hash(b) and key(a) == key(b))
+    with pytest.raises(TypeError):
+        a < key(b)
+
+
+def test_triples_sort_canonically_and_refuse_assignment():
+    half, two = Fraction(1, 2), Fraction(2)
+    shuffled = [
+        ConvTriple(bare("y"), half, bare("x")),
+        ConvTriple(bare("x"), two, bare("y")),
+        ConvTriple(bare("x"), half, bare("z")),
+        ConvTriple(bare("x"), half, bare("y")),
+    ]
+    assert sorted(shuffled) == shuffled[::-1]
+    assert len(set(shuffled + [ConvTriple(bare("x"), Fraction(4, 2), bare("y"))])) == 4
+    assert repr(ConvTriple(em_empty(), two, em_empty())) == (
+        "ConvTriple(source=ExponentMap({}), ratio=Fraction(2, 1), target=ExponentMap({}))"
+    )
+    for field in ("source", "ratio", "target"):
+        with pytest.raises(AttributeError):
+            setattr(shuffled[0], field, None)
+
+
+def test_defining_conversions_compare_by_rules_alone(siuk_pair):
+    system, rules = siuk_pair
+    twin = DefiningConversion(dict(rules.rules))
+    assert twin == rules and twin._compiled is None
+    convert(system, rules, bare("m"), bare("m"))
+    assert rules._compiled is not None and twin == rules
+    assert repr(DefiningConversion({})) == "DefiningConversion(rules=mappingproxy({}))"
+    with pytest.raises(AttributeError):
+        twin.rules = {}  # type: ignore[misc]
+
+
+CLASSIFICATION_FIELDS = (
+    "is_defining",
+    "is_well_defining",
+    "is_regular",
+    "consistency",
+    "witness",
+    "cycle_witness",
+    "iteration_bound",
+)
+
+
+@pytest.mark.parametrize("pair", [lambda: (SI, SI_RULES), cyclic_pair])
+def test_reports_compare_field_by_field(pair):
+    system, rules = pair()
+    first, second = classify(system, rules), classify(system, rules)
+    assert first == second and first is not second and hash(first) == hash(second)
+    values = [getattr(first, name) for name in CLASSIFICATION_FIELDS]
+    assert values == [getattr(second, name) for name in CLASSIFICATION_FIELDS]
+    assert ClassificationReport(*values) == first
+    assert ClassificationReport(*values[:-1], iteration_bound=99) != first
+    assert ClassificationReport(*values[:4]) == ClassificationReport(*values[:4], None, None, None)
+    report = analyze(system, rules)
+    fields = (report.well_founded, report.cycle_witness, report.depth, report.iteration_bound)
+    assert analyze(system, rules) == report == DependencyReport(*fields)
+    assert DependencyReport(*fields[:3], 99) != report
+    with pytest.raises(AttributeError):
+        first.consistency = "unknown"  # type: ignore[misc]
+    with pytest.raises(AttributeError):
+        report.well_founded = False  # type: ignore[misc]
 
 
 def test_classify_bundled_table():

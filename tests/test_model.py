@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 from unical import (
     EQUIV_LEVELS,
     MAX_RATIO_BITS,
+    AbstractUnit,
+    EvaluatedUnit,
     ExponentMap,
+    NormalizedUnit,
     PreUnit,
     RatioError,
     UnitSystem,
@@ -50,7 +53,8 @@ def test_preunit_equality_and_order():
     kilo = PreUnit(em_delta("k"), "m")
     assert plain == PreUnit(em_empty(), "m")
     assert plain != kilo
-    assert sorted([kilo, plain, PreUnit(em_empty(), "g")])[0].base == "g"
+    gram, second = PreUnit(em_delta("m"), "g"), PreUnit(em_empty(), "s")
+    assert sorted([kilo, second, gram, plain]) == [gram, plain, kilo, second]
 
 
 preunits = st.builds(
@@ -71,16 +75,67 @@ def test_preunit_ordering_is_by_base_then_prefix(a, b):
             compare(a, (b.base, b.prefix))
 
 
+# (class, its fields, one value, another value)
+VALUE_RECORDS = [
+    (PreUnit, ("prefix", "base"), (em_delta("k"), "m"), (em_delta("k"), "g")),
+    (NormalizedUnit, ("prefix", "root"), (em_delta("k"), em_delta("m")), (em_empty(), em_delta("m"))),
+    (EvaluatedUnit, ("factor", "root"), (Fraction(1000), em_delta("m")), (Fraction(1000), em_delta("g"))),
+    (AbstractUnit, ("factor", "dimension"), (Fraction(1000), em_delta("L")), (Fraction(1), em_delta("L"))),
+]
+
+
+@pytest.mark.parametrize("cls, fields, values, other", VALUE_RECORDS)
+def test_value_records_compare_and_hash_by_their_fields(cls, fields, values, other):
+    record, twin = cls(*values), cls(*values)
+    assert record == twin and record is not twin
+    assert hash(record) == hash(twin) and len({record, twin}) == 1
+    assert record != cls(*other)
+    # Neither a plain tuple nor another record class with the same values is equal.
+    assert record != values
+    assert all(record != kind(*values) for kind, _, _, _ in VALUE_RECORDS if kind is not cls)
+
+
+@pytest.mark.parametrize("cls, fields, values, other", VALUE_RECORDS)
+def test_value_records_refuse_assignment(cls, fields, values, other):
+    record = cls(*values)
+    assert tuple(getattr(record, field) for field in fields) == values
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, other[0])
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    assert record == cls(*values)
+
+
+def test_value_record_reprs_name_their_fields():
+    assert repr(PreUnit(em_delta("k"), "m")) == "PreUnit(prefix=ExponentMap({'k': 1}), base='m')"
+    assert repr(EvaluatedUnit(Fraction(1, 2), em_delta("m"))) == (
+        "EvaluatedUnit(factor=Fraction(1, 2), root=ExponentMap({'m': 1}))"
+    )
+
+
 def test_system_validates_prefix_values():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^prefix 'x' must have a positive rational value, got Fraction\(0, 1\)$"):
         UnitSystem(frozenset(), {"x": Fraction(0)}, {})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^prefix 'x' must have a positive rational value"):
         UnitSystem(frozenset(), {"x": Fraction(-1, 2)}, {})
 
 
 def test_system_validates_unit_dimensions():
-    with pytest.raises(UnknownSymbolError):
+    with pytest.raises(UnknownSymbolError, match=r"^unit 'm' uses unregistered dimension 'Q'$"):
         UnitSystem(frozenset({"L"}), {}, {"m": em_delta("Q")})
+
+
+def test_system_equality_and_longest_symbols():
+    system = UnitSystem(["L"], {"k": Fraction(1000), "da": Fraction(10)}, {"m": em_delta("L"), "mil": em_delta("L")})
+    assert system == UnitSystem(frozenset({"L"}), dict(system.base_prefixes), dict(system.base_units))
+    assert (system.max_prefix_len, system.max_unit_len) == (2, 3)
+    assert (SI.max_prefix_len, SI.max_unit_len) == (
+        max(map(len, SI.base_prefixes)),
+        max(map(len, SI.base_units)),
+    )
+    with pytest.raises(AttributeError):
+        system.base_units = {}  # type: ignore[misc]
 
 
 def test_system_mappings_are_read_only():

@@ -2,7 +2,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from unical import (
@@ -377,6 +377,8 @@ IDENTIFIER_PIECES = sorted(SIUK.base_prefixes) + sorted(SIUK.base_units) + [
 
 
 @given(st.lists(st.sampled_from(IDENTIFIER_PIECES), min_size=1, max_size=6).map("".join))
+@example("^2E_A")
+@example("k^_m")
 def test_identifier_resolution_matches_sorted_scan(text):
     try:
         resolved = _resolve_identifier(SIUK, text)

@@ -4,7 +4,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from unical import analyze, bundled_registry, classify, defining_conversion, em_mul, em_pow, load_registry
+from unical.cli import main as cli_main
 from support import bare, chain_registry_text, dimensionless_system
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -30,6 +33,19 @@ def test_depth_report_on_a_chain_of_a_thousand_rules(capsys, monkeypatch, tmp_pa
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == "pass bound for any conversion: 999"
     assert lines[-2].startswith(f"{first}  depth 999  depends on: ")
+
+
+def test_depth_report_reports_a_bad_registry_as_the_cli_does(capsys, monkeypatch, tmp_path):
+    prose = tmp_path / "prose.md"
+    prose.write_text("# unical\n\nExact calculus for units of measure.\n", encoding="utf-8")
+    monkeypatch.setattr(sys, "argv", ["depth_report.py", "--registry", str(prose)])
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_path(str(SCRIPTS / "depth_report.py"), run_name="__main__")
+    captured = capsys.readouterr()
+    assert exited.value.code == 2 and not captured.out
+    assert captured.err == "error: line 3: content before any section header\n"
+    assert cli_main(["classify", "--registry", str(prose)]) == 2
+    assert capsys.readouterr().err == captured.err
 
 
 def test_prefix_census_default_run(capsys, monkeypatch):
