@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from functools import total_ordering
+from operator import itemgetter
 from typing import Any, Callable, Generic, Iterable, Iterator, TypeVar, Union
 
 __all__ = [
@@ -30,6 +31,8 @@ __all__ = [
 ]
 
 T = TypeVar("T")
+
+_GENERATOR = itemgetter(0)
 
 Entries = Union[Mapping[Any, int], Iterable[tuple[Any, int]]]
 
@@ -64,17 +67,32 @@ class ExponentMap(Immutable):
     __slots__ = ("_entries",)
 
     def __init__(self, entries: Entries = ()):
-        items = entries.items() if isinstance(entries, Mapping) else entries
+        # Exact-type tests first: they are cheaper than the ABC and bool checks.
+        if type(entries) is dict or type(entries) is ExponentMap or isinstance(entries, Mapping):
+            entries = entries.items()
         acc: dict[Any, int] = {}
-        for generator, exponent in items:
-            if isinstance(exponent, bool) or not isinstance(exponent, int):
+        for generator, exponent in entries:
+            if type(exponent) is not int and (isinstance(exponent, bool) or not isinstance(exponent, int)):
                 raise TypeError(f"exponent must be an integer, got {exponent!r}")
             total = acc.get(generator, 0) + exponent
             if total:
                 acc[generator] = total
             elif generator in acc:
                 del acc[generator]
-        object.__setattr__(self, "_entries", tuple(sorted(acc.items(), key=lambda kv: kv[0])))
+        pairs = acc.items()
+        object.__setattr__(self, "_entries", tuple(sorted(pairs, key=_GENERATOR) if len(acc) > 1 else pairs))
+
+    @classmethod
+    def _canonical(cls, entries: tuple[tuple[Any, int], ...]) -> "ExponentMap":
+        """A map over pairs that are already canonical, taken as they are.
+
+        The caller guarantees what the constructor would establish: the
+        generators are distinct and in ascending order, and every
+        exponent is a nonzero int. Nothing is checked.
+        """
+        built = object.__new__(cls)
+        object.__setattr__(built, "_entries", entries)
+        return built
 
     def items(self) -> tuple[tuple[Any, int], ...]:
         """Canonically ordered (generator, exponent) pairs."""
@@ -165,7 +183,7 @@ def em_empty() -> ExponentMap:
 
 def em_delta(generator: Any) -> ExponentMap:
     """The generator itself as a group element (exponent one)."""
-    return ExponentMap(((generator, 1),))
+    return ExponentMap._canonical(((generator, 1),))
 
 
 def em_mul(f: ExponentMap, g: ExponentMap) -> ExponentMap:
@@ -177,7 +195,7 @@ def em_mul(f: ExponentMap, g: ExponentMap) -> ExponentMap:
 
 
 def em_inv(f: ExponentMap) -> ExponentMap:
-    return ExponentMap((generator, -exponent) for generator, exponent in f.items())
+    return ExponentMap._canonical(tuple([(generator, -exponent) for generator, exponent in f.items()]))
 
 
 def em_pow(f: ExponentMap, exponent: int) -> ExponentMap:
@@ -185,7 +203,8 @@ def em_pow(f: ExponentMap, exponent: int) -> ExponentMap:
         raise TypeError(f"exponent must be an integer, got {exponent!r}")
     if exponent == 0:
         return _EMPTY
-    return ExponentMap((generator, z * exponent) for generator, z in f.items())
+    # Nonzero times nonzero stays nonzero, and the generators keep their order.
+    return ExponentMap._canonical(tuple([(generator, z * exponent) for generator, z in f.items()]))
 
 
 def em_map(fn: Callable[[Any], Any], f: ExponentMap) -> ExponentMap:

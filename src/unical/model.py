@@ -27,12 +27,11 @@ from .abelian import (
     Immutable,
     em_delta,
     em_empty,
-    em_eval,
     em_flatten,
     em_map,
     em_mul,
 )
-from .numeric import ONE, ratio_bits, ratio_check_bits, ratio_inv, ratio_mul
+from .numeric import ONE, ratio_check_bits, ratio_inv, ratio_mul
 
 __all__ = [
     "AbstractUnit",
@@ -182,11 +181,16 @@ class UnitSystem(Immutable):
     every dimension a unit mentions is registered and every prefix value
     is a positive rational. `max_prefix_len` and `max_unit_len`, the
     lengths of the longest prefix and base-unit symbols, are worked out
-    once here for identifier resolution; equality and the repr leave
-    them out.
+    once here for identifier resolution, and `_resolved` is the memo of
+    identifier text to PreUnit that `unical.registry` fills; equality,
+    hashing and the repr leave all three out.
     """
 
-    __slots__ = ("base_dimensions", "base_prefixes", "base_units", "max_prefix_len", "max_unit_len")
+    __slots__ = (
+        "base_dimensions", "base_prefixes", "base_units", "max_prefix_len", "max_unit_len", "_resolved"
+    )
+
+    _resolved: dict[str, PreUnit]
 
     def __init__(
         self,
@@ -213,6 +217,7 @@ class UnitSystem(Immutable):
         object.__setattr__(self, "base_units", MappingProxyType(units))
         object.__setattr__(self, "max_prefix_len", max(map(len, prefixes), default=0))
         object.__setattr__(self, "max_unit_len", max(map(len, units), default=0))
+        object.__setattr__(self, "_resolved", {})
 
     def __eq__(self, other: Any) -> bool:
         if other.__class__ is not self.__class__:
@@ -224,7 +229,9 @@ class UnitSystem(Immutable):
         )
 
     def __hash__(self) -> int:
-        return hash((self.base_dimensions, self.base_prefixes, self.base_units))
+        return hash(
+            (self.base_dimensions, frozenset(self.base_prefixes.items()), frozenset(self.base_units.items()))
+        )
 
     def __repr__(self) -> str:
         return (
@@ -292,14 +299,29 @@ def _prefix_value(system: UnitSystem, symbol: str) -> Fraction:
 def val(system: UnitSystem, prefix: Prefix) -> Fraction:
     """Value of a prefix word: the product of member values, exactly.
 
-    Computed by mapping each symbol to its registered ratio and evaluating
-    the resulting map in the multiplicative group of positive rationals.
-    The value has at most sum |exponent| * bits(ratio) bits; past
+    Equal to `em_eval(RATIO_GROUP, em_map(value, prefix))`: each symbol
+    is mapped to its registered ratio and the ratios are multiplied out.
+    Exponents are first summed per value, keyed by its numerator and
+    denominator in lowest terms, so equal-valued prefixes merge and
+    cancel as under `em_map`. The value has at most
+    sum |exponent| * bits(ratio) bits over those sums; past
     MAX_RATIO_BITS it raises RatioError before any power is taken.
     """
-    values = em_map(lambda symbol: _prefix_value(system, symbol), prefix)
-    ratio_check_bits(sum(abs(z) * ratio_bits(value) for value, z in values.items()), "prefix value")
-    return em_eval(RATIO_GROUP, values)
+    powers: dict[tuple[int, int], int] = {}
+    for symbol, z in prefix.items():
+        value = _prefix_value(system, symbol)
+        key = (value.numerator, value.denominator)
+        powers[key] = powers.get(key, 0) + z
+    ratio_check_bits(
+        sum(abs(z) * max(n.bit_length(), d.bit_length()) for (n, d), z in powers.items()), "prefix value"
+    )
+    numerator = denominator = 1
+    for (n, d), z in powers.items():
+        if z < 0:
+            n, d, z = d, n, -z
+        numerator *= n**z
+        denominator *= d**z
+    return Fraction(numerator, denominator)
 
 
 def pval(system: UnitSystem, unit: Unit) -> Fraction:

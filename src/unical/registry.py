@@ -16,7 +16,6 @@ import os
 import re
 import unicodedata
 from fractions import Fraction
-from importlib import resources
 from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from .abelian import ExponentMap, em_delta, em_empty
@@ -105,6 +104,12 @@ def _normalize(text: str) -> str:
 # once per parenthesis level, and an exponent literal is read as an int.
 MAX_UNIT_NESTING = 100
 MAX_UNIT_EXPONENT = 10**9
+
+# Bounds on a system's memo of resolved identifiers, which untrusted text
+# fills: at most this many entries (the memo is emptied when full), each
+# for an identifier of at most this many characters.
+MAX_MEMO_IDENTIFIERS = 4096
+MAX_MEMO_IDENTIFIER_LEN = 32
 
 _SEGMENT = r"[^\s0-9_*/^()#\-]+"
 _IDENT_RE = re.compile(rf"{_SEGMENT}(?:(?:\^-?[0-9]+)?_{_SEGMENT})*")
@@ -270,7 +275,7 @@ def _prefix_chain(system: UnitSystem, head: str) -> Optional[list[str]]:
     return chain
 
 
-def _resolve_explicit(system: UnitSystem, text: str, position: int) -> Optional[Unit]:
+def _resolve_explicit(system: UnitSystem, text: str, position: int) -> Optional[PreUnit]:
     """Resolve an underscore-joined identifier: prefix segments, then base.
 
     The base unit is the longest underscore-joined tail that names a
@@ -303,11 +308,11 @@ def _resolve_explicit(system: UnitSystem, text: str, position: int) -> Optional[
             pairs.append((symbol, exponent))
             offset += len(segment) + 1
         else:
-            return em_delta(PreUnit(ExponentMap(pairs), tail))
+            return PreUnit(ExponentMap(pairs), tail)
     return None
 
 
-def _resolve_greedy(system: UnitSystem, text: str) -> Optional[Unit]:
+def _resolve_greedy(system: UnitSystem, text: str) -> Optional[PreUnit]:
     """Resolve `text` as prefix chain + base unit, longest base suffix first."""
     units = system.base_units
     longest = system.max_unit_len
@@ -316,17 +321,33 @@ def _resolve_greedy(system: UnitSystem, text: str) -> Optional[Unit]:
         if base in units:
             chain = _prefix_chain(system, text[:start])
             if chain is not None:
-                return em_delta(PreUnit(ExponentMap((symbol, 1) for symbol in chain), base))
+                return PreUnit(ExponentMap((symbol, 1) for symbol in chain), base)
     return None
 
 
 def _resolve_identifier(system: UnitSystem, text: str, position: int = 0) -> Unit:
-    if text in system.base_units:
-        return em_delta(PreUnit(em_empty(), text))
-    resolved = _resolve_explicit(system, text, position) if "_" in text else _resolve_greedy(system, text)
-    if resolved is None:
-        raise UnknownIdentifierError(f"unknown unit identifier {text!r}", position)
-    return resolved
+    """The one-factor unit an identifier names, through the system's memo.
+
+    Only successful resolutions of identifiers up to
+    MAX_MEMO_IDENTIFIER_LEN characters are kept, so an unknown
+    identifier raises with its own position each time it occurs.
+    """
+    memo = system._resolved
+    preunit = memo.get(text)
+    if preunit is None:
+        if text in system.base_units:
+            preunit = PreUnit(em_empty(), text)
+        elif "_" in text:
+            preunit = _resolve_explicit(system, text, position)
+        else:
+            preunit = _resolve_greedy(system, text)
+        if preunit is None:
+            raise UnknownIdentifierError(f"unknown unit identifier {text!r}", position)
+        if len(text) <= MAX_MEMO_IDENTIFIER_LEN:
+            if len(memo) >= MAX_MEMO_IDENTIFIERS:
+                memo.clear()
+            memo[text] = preunit
+    return em_delta(preunit)
 
 
 def parse_unit(system: UnitSystem, text: str) -> Unit:
@@ -617,7 +638,9 @@ def bundled_registry(name: str) -> str:
         raise RegistryError(
             f"no bundled registry {name!r}; available: {', '.join(BUNDLED_REGISTRIES)}"
         )
-    return resources.files("unical").joinpath("data", f"{name}.reg").read_text(encoding="utf-8")
+    path = os.path.join(os.path.dirname(__file__), "data", f"{name}.reg")
+    with open(path, "r", encoding="utf-8") as handle:
+        return handle.read()
 
 
 def read_registry(item: str) -> str:

@@ -19,6 +19,7 @@ from unical import (
     em_mul,
     em_pow,
 )
+from support import random_integer_map
 
 nonzero = st.integers(min_value=-4, max_value=4).filter(bool)
 generators = st.integers(min_value=1, max_value=8)
@@ -47,10 +48,28 @@ def test_constructor_sums_duplicates_and_drops_zeros():
 
 
 def test_constructor_rejects_non_integer_exponents():
-    with pytest.raises(TypeError):
-        ExponentMap({"a": 1.5})
-    with pytest.raises(TypeError):
-        ExponentMap({"a": True})
+    for exponent in (1.5, True, 1.0, "1"):
+        with pytest.raises(TypeError):
+            ExponentMap({"a": exponent})
+        with pytest.raises(TypeError):
+            ExponentMap([("a", exponent)])
+
+
+@given(st.randoms(use_true_random=False), st.integers(-3, 3))
+def test_canonical_results_equal_the_general_constructor(rng, exponent):
+    # em_delta, em_inv and em_pow build their results without re-checking
+    # or re-sorting; the general constructor over the same pairs must agree.
+    f = random_integer_map(rng, "abcdefgh")
+    generator = rng.choice("abcdefgh")
+    for built, pairs in (
+        (em_delta(generator), [(generator, 1)]),
+        (em_inv(f), [(g, -z) for g, z in f.items()]),
+        (em_pow(f, exponent), [(g, z * exponent) for g, z in f.items()]),
+    ):
+        general = ExponentMap(pairs)
+        assert built.items() == general.items()
+        assert hash(built) == hash(general)
+        assert built == general and ExponentMap(built) == built
 
 
 def test_maps_are_immutable_and_hashable():

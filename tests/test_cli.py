@@ -231,18 +231,22 @@ def test_an_oversized_normal_form_refuses_only_the_conversions_that_reach_it(cap
 
 
 def test_importing_the_cli_loads_no_dataclass_machinery():
-    # -S keeps site hooks out, so only what unical.cli imports is counted.
-    probe = "import sys, unical.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    # -S keeps site hooks out, so only what unical.cli imports, and what a
+    # command that reads a bundled registry loads, is counted.
+    unwanted = "{'dataclasses', 'inspect', 'importlib.resources'}"
     source_dir = str(Path(unical.__file__).resolve().parents[1])
-    result = subprocess.run(
-        [sys.executable, "-S", "-c", probe],
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": source_dir},
-        timeout=60,
-        check=True,
-    )
-    assert result.stdout.strip() == "[]"
+    for command in ("", "unical.cli.main(['convert', 'km', 'm']); "):
+        probe = f"import sys, unical.cli; {command}print(sorted({unwanted} & set(sys.modules)))"
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", probe],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": source_dir},
+            timeout=60,
+            check=True,
+        )
+        assert result.stdout.splitlines()[-1] == "[]"
+        assert ("ratio: 1000" in result.stdout) == bool(command)
 
 
 def test_classify_bundled_registry(capsys):

@@ -3,12 +3,13 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from unical import (
     EQUIV_LEVELS,
     MAX_RATIO_BITS,
+    RATIO_GROUP,
     AbstractUnit,
     EvaluatedUnit,
     ExponentMap,
@@ -23,7 +24,9 @@ from unical import (
     dim_root,
     em_delta,
     em_empty,
+    em_eval,
     em_inv,
+    em_map,
     em_mul,
     em_pow,
     equiv,
@@ -39,6 +42,7 @@ from unical import (
     unroot,
     val,
 )
+from unical.numeric import ratio_bits
 from support import bare, random_unit, unit_of
 
 SI, _ = load_registry(bundled_registry("si"))
@@ -191,6 +195,33 @@ def test_val_refuses_words_past_the_ratio_limit_before_the_power():
         with pytest.raises(RatioError, match="MAX_RATIO_BITS"):
             val(SI, ExponentMap({"ki": exponent}))
     assert time.perf_counter() - started < 1
+
+
+# "k" and "K" have equal values, so their exponents merge under em_map.
+TWIN = UnitSystem(
+    ["L"],
+    {"k": Fraction(1000), "K": Fraction(1000), "h": Fraction(1, 100), "ki": Fraction(1024)},
+    {"m": em_delta("L")},
+)
+
+
+def prefix_words(system):
+    exponents = st.one_of(st.integers(-3, 3), st.integers(-3000, 3000))
+    symbols = st.sampled_from(sorted(system.base_prefixes))
+    return st.dictionaries(symbols, exponents, max_size=5).map(lambda word: (system, ExponentMap(word)))
+
+
+@given(st.one_of(prefix_words(SI), prefix_words(TWIN)))
+@example((TWIN, ExponentMap({"k": 5000, "K": -5000})))
+@example((TWIN, ExponentMap({"k": 5000, "K": -4999, "ki": -2})))
+def test_val_equals_the_mapped_evaluation(case):
+    system, prefix = case
+    values = em_map(system.base_prefixes.__getitem__, prefix)
+    if sum(abs(z) * ratio_bits(value) for value, z in values.items()) > MAX_RATIO_BITS:
+        with pytest.raises(RatioError, match="MAX_RATIO_BITS"):
+            val(system, prefix)
+    else:
+        assert val(system, prefix) == em_eval(RATIO_GROUP, values)
 
 
 def test_binary_prefix_values():

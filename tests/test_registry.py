@@ -36,7 +36,8 @@ from unical import (
     norm,
     read_registry,
 )
-from unical.registry import _resolve_identifier
+from unical import registry
+from unical.registry import MAX_MEMO_IDENTIFIER_LEN, _resolve_identifier
 from support import as_preunit, bare, random_unit, unit_of
 
 SI, SI_RULES = load_registry(bundled_registry("si"))
@@ -319,7 +320,8 @@ def test_print_unit_refuses_unregistered_symbols():
 @given(st.randoms(use_true_random=False))
 def test_parse_print_roundtrip(rng):
     unit = random_unit(rng, SI, max_parts=3)
-    assert parse_unit(SI, print_unit(SI, unit)) == unit
+    for _ in range(2):  # the second parse reads SI's identifier memo
+        assert parse_unit(SI, print_unit(SI, unit)) == unit
 
 
 def sorted_scan_resolve(system, text):
@@ -380,11 +382,57 @@ IDENTIFIER_PIECES = sorted(SIUK.base_prefixes) + sorted(SIUK.base_units) + [
 @example("^2E_A")
 @example("k^_m")
 def test_identifier_resolution_matches_sorted_scan(text):
-    try:
-        resolved = _resolve_identifier(SIUK, text)
-    except UnknownIdentifierError:
-        resolved = None
-    assert resolved == sorted_scan_resolve(SIUK, text)
+    expected = sorted_scan_resolve(SIUK, text)
+    SIUK._resolved.pop(text, None)
+    for _ in range(2):  # the second call reads the memo
+        try:
+            resolved = _resolve_identifier(SIUK, text)
+        except UnknownIdentifierError:
+            resolved = None
+        assert resolved == expected
+    assert (text in SIUK._resolved) == (expected is not None)
+
+
+def test_unknown_identifiers_are_not_memoised():
+    system, _ = load_registry(bundled_registry("si"))
+    for text, position in (("m*qq", 2), ("qq*m", 0), ("m*qq", 2), ("km/qq^2", 3)):
+        with pytest.raises(UnknownIdentifierError) as caught:
+            parse_unit(system, text)
+        assert caught.value.position == position
+    assert "qq" not in system._resolved
+    assert {"m", "km"} <= system._resolved.keys()
+
+
+def test_identifiers_over_the_length_cap_are_not_memoised():
+    system, _ = load_registry(bundled_registry("si"))
+    at_cap = "k_" * ((MAX_MEMO_IDENTIFIER_LEN - 1) // 2) + "m"
+    over_cap = "k_" * (MAX_MEMO_IDENTIFIER_LEN // 2) + "m"
+    greedy = "k" * 10_000 + "m"
+    assert len(at_cap) <= MAX_MEMO_IDENTIFIER_LEN < len(over_cap)
+    for text in (at_cap, over_cap, greedy):
+        assert parse_unit(system, text) == unit_of(("m", 1, {"k": text.count("k")}))
+    assert at_cap in system._resolved
+    assert over_cap not in system._resolved and greedy not in system._resolved
+
+
+def test_the_memo_never_exceeds_its_entry_cap(monkeypatch):
+    monkeypatch.setattr(registry, "MAX_MEMO_IDENTIFIERS", 5)
+    system, _ = load_registry(bundled_registry("si"))
+    for prefix in sorted(system.base_prefixes):
+        for base in ("m", "g", "s"):
+            text = f"{prefix}_{base}"
+            assert parse_unit(system, text) == unit_of((base, 1, {prefix: 1}))
+            assert len(system._resolved) <= 5 and text in system._resolved
+
+
+def test_systems_equal_by_value_ignore_their_memos():
+    first, _ = load_registry(bundled_registry("si"))
+    second, _ = load_registry(bundled_registry("si"))
+    parse_unit(first, "km*µs^-2/k_g")
+    assert first == second and hash(first) == hash(second)
+    assert repr(first) == repr(second) and "_resolved" not in repr(first)
+    assert first._resolved is not second._resolved
+    assert "km" in first._resolved and "km" not in second._resolved
 
 
 @pytest.mark.parametrize(
