@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from functools import total_ordering
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Any, Callable, Generic, Iterable, Iterator, TypeVar, Union
 
 __all__ = [
@@ -40,12 +40,43 @@ Entries = Union[Mapping[Any, int], Iterable[tuple[Any, int]]]
 class Immutable:
     """Base of the package's value classes: attributes cannot be set or deleted.
 
-    Subclasses list their fields in `__slots__`, set them in `__init__`
-    through `object.__setattr__`, and write their own `__eq__`,
-    `__hash__` and `__repr__` over exactly those fields.
+    Subclasses list their slots in `__slots__` and set them in `__init__`
+    through `object.__setattr__`. `_fields`, by default the class's own
+    `__slots__`, names the slots that make up the value; the others, such
+    as caches, take no part. Records are equal when of the same class with
+    equal fields, hash by their fields and print as `Name(field=value, ...)`;
+    a subclass whose fields are mapping views writes its own `__hash__`.
+    Copying returns the record itself: nothing in it can change.
     """
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _values: Callable[[Any], Any]
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        if "_fields" not in cls.__dict__:
+            cls._fields = tuple(cls.__dict__.get("__slots__", ()))
+        # Over one field the getter returns the bare value, which serves as well.
+        cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({inner})"
+
+    def __copy__(self) -> "Immutable":
+        return self
+
+    def __deepcopy__(self, memo: dict) -> "Immutable":
+        return self
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -160,17 +191,6 @@ class GroupInterface(Immutable, Generic[T]):
         object.__setattr__(self, "combine", combine)
         object.__setattr__(self, "invert", invert)
         object.__setattr__(self, "neutral", neutral)
-
-    def __eq__(self, other: Any) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.combine, self.invert, self.neutral) == (other.combine, other.invert, other.neutral)
-
-    def __hash__(self) -> int:
-        return hash((self.combine, self.invert, self.neutral))
-
-    def __repr__(self) -> str:
-        return f"GroupInterface(combine={self.combine!r}, invert={self.invert!r}, neutral={self.neutral!r})"
 
 
 _EMPTY = ExponentMap()

@@ -19,7 +19,7 @@ from graphlib import CycleError, TopologicalSorter
 from math import gcd
 from types import MappingProxyType
 from functools import total_ordering
-from typing import Any, Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
 from .abelian import ExponentMap, Immutable, em_delta, em_empty, em_inv, em_mul
 from .model import (
@@ -89,21 +89,10 @@ class ConvTriple(Immutable):
         object.__setattr__(self, "ratio", ratio)
         object.__setattr__(self, "target", target)
 
-    def __eq__(self, other: Any) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.source, self.ratio, self.target) == (other.source, other.ratio, other.target)
-
-    def __hash__(self) -> int:
-        return hash((self.source, self.ratio, self.target))
-
     def __lt__(self, other: "ConvTriple") -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.source, self.ratio, self.target) < (other.source, other.ratio, other.target)
-
-    def __repr__(self) -> str:
-        return f"ConvTriple(source={self.source!r}, ratio={self.ratio!r}, target={self.target!r})"
+        return self._values(self) < self._values(other)
 
 
 def _triple_mul(a: ConvTriple, b: ConvTriple) -> ConvTriple:
@@ -124,10 +113,11 @@ class DefiningConversion(Immutable):
     the constructor itself only freezes the mapping. The normal-form
     table that `rwr_star` and `convert` use is compiled on first use and
     kept in `_compiled`, together with the unit system it was compiled
-    against; equality and the repr leave it out.
+    against; equality, hashing and the repr leave it out.
     """
 
     __slots__ = ("rules", "_compiled")
+    _fields = ("rules",)
 
     _compiled: Optional[tuple[UnitSystem, Mapping[str, EvaluatedUnit], Mapping[str, str]]]
 
@@ -135,16 +125,8 @@ class DefiningConversion(Immutable):
         object.__setattr__(self, "rules", MappingProxyType(dict(rules)))
         object.__setattr__(self, "_compiled", None)
 
-    def __eq__(self, other: Any) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.rules == other.rules
-
     def __hash__(self) -> int:
-        return hash((self.rules,))
-
-    def __repr__(self) -> str:
-        return f"DefiningConversion(rules={self.rules!r})"
+        return hash(frozenset(self.rules.items()))
 
     def triples(self) -> list[ConvTriple]:
         """The rule set as conversion triples, in symbol order."""
@@ -226,23 +208,9 @@ class DependencyReport(Immutable):
         object.__setattr__(self, "depth", depth)
         object.__setattr__(self, "iteration_bound", iteration_bound)
 
-    def _key(self) -> tuple:
-        return (self.well_founded, self.cycle_witness, self.depth, self.iteration_bound)
-
-    def __eq__(self, other: Any) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
     def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"DependencyReport(well_founded={self.well_founded!r}, "
-            f"cycle_witness={self.cycle_witness!r}, depth={self.depth!r}, "
-            f"iteration_bound={self.iteration_bound!r})"
-        )
+        depth = self.depth if self.depth is None else frozenset(self.depth.items())
+        return hash((self.well_founded, self.cycle_witness, depth, self.iteration_bound))
 
 
 def _direct_dependencies(conversion: DefiningConversion) -> dict[str, tuple[str, ...]]:
@@ -478,23 +446,6 @@ class ClosureExploration(Immutable):
         object.__setattr__(self, "triples", triples)
         object.__setattr__(self, "witness", witness)
         object.__setattr__(self, "bounds_hit", bounds_hit)
-
-    def _key(self) -> tuple:
-        return (self.triples, self.witness, self.bounds_hit)
-
-    def __eq__(self, other: Any) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"ClosureExploration(triples={self.triples!r}, witness={self.witness!r}, "
-            f"bounds_hit={self.bounds_hit!r})"
-        )
 
     @property
     def truncated(self) -> bool:
@@ -735,33 +686,6 @@ class ClassificationReport(Immutable):
         object.__setattr__(self, "witness", witness)
         object.__setattr__(self, "cycle_witness", cycle_witness)
         object.__setattr__(self, "iteration_bound", iteration_bound)
-
-    def _key(self) -> tuple:
-        return (
-            self.is_defining,
-            self.is_well_defining,
-            self.is_regular,
-            self.consistency,
-            self.witness,
-            self.cycle_witness,
-            self.iteration_bound,
-        )
-
-    def __eq__(self, other: Any) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"ClassificationReport(is_defining={self.is_defining!r}, "
-            f"is_well_defining={self.is_well_defining!r}, is_regular={self.is_regular!r}, "
-            f"consistency={self.consistency!r}, witness={self.witness!r}, "
-            f"cycle_witness={self.cycle_witness!r}, iteration_bound={self.iteration_bound!r})"
-        )
 
 
 def classify(

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import total_ordering
 from types import MappingProxyType
-from typing import Any, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .abelian import (
     ExponentMap,
@@ -92,21 +92,10 @@ class PreUnit(Immutable):
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "base", base)
 
-    def __eq__(self, other: Any) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.prefix == other.prefix and self.base == other.base
-
-    def __hash__(self) -> int:
-        return hash((self.prefix, self.base))
-
     def __lt__(self, other: "PreUnit") -> bool:
         if not isinstance(other, PreUnit):
             return NotImplemented
         return (self.base, self.prefix) < (other.base, other.prefix)
-
-    def __repr__(self) -> str:
-        return f"PreUnit(prefix={self.prefix!r}, base={self.base!r})"
 
 
 class NormalizedUnit(Immutable):
@@ -118,17 +107,6 @@ class NormalizedUnit(Immutable):
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "root", root)
 
-    def __eq__(self, other: Any) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.prefix == other.prefix and self.root == other.root
-
-    def __hash__(self) -> int:
-        return hash((self.prefix, self.root))
-
-    def __repr__(self) -> str:
-        return f"NormalizedUnit(prefix={self.prefix!r}, root={self.root!r})"
-
 
 class EvaluatedUnit(Immutable):
     """Exact scale factor and root."""
@@ -139,17 +117,6 @@ class EvaluatedUnit(Immutable):
         object.__setattr__(self, "factor", factor)
         object.__setattr__(self, "root", root)
 
-    def __eq__(self, other: Any) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.factor == other.factor and self.root == other.root
-
-    def __hash__(self) -> int:
-        return hash((self.factor, self.root))
-
-    def __repr__(self) -> str:
-        return f"EvaluatedUnit(factor={self.factor!r}, root={self.root!r})"
-
 
 class AbstractUnit(Immutable):
     """Exact scale factor and dimension; the coarsest faithful view."""
@@ -159,17 +126,6 @@ class AbstractUnit(Immutable):
     def __init__(self, factor: Fraction, dimension: Dimension):
         object.__setattr__(self, "factor", factor)
         object.__setattr__(self, "dimension", dimension)
-
-    def __eq__(self, other: Any) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.factor == other.factor and self.dimension == other.dimension
-
-    def __hash__(self) -> int:
-        return hash((self.factor, self.dimension))
-
-    def __repr__(self) -> str:
-        return f"AbstractUnit(factor={self.factor!r}, dimension={self.dimension!r})"
 
 
 class UnitSystem(Immutable):
@@ -189,6 +145,7 @@ class UnitSystem(Immutable):
     __slots__ = (
         "base_dimensions", "base_prefixes", "base_units", "max_prefix_len", "max_unit_len", "_resolved"
     )
+    _fields = ("base_dimensions", "base_prefixes", "base_units")
 
     _resolved: dict[str, PreUnit]
 
@@ -219,24 +176,9 @@ class UnitSystem(Immutable):
         object.__setattr__(self, "max_unit_len", max(map(len, units), default=0))
         object.__setattr__(self, "_resolved", {})
 
-    def __eq__(self, other: Any) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.base_dimensions, self.base_prefixes, self.base_units) == (
-            other.base_dimensions,
-            other.base_prefixes,
-            other.base_units,
-        )
-
     def __hash__(self) -> int:
         return hash(
             (self.base_dimensions, frozenset(self.base_prefixes.items()), frozenset(self.base_units.items()))
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"UnitSystem(base_dimensions={self.base_dimensions!r}, "
-            f"base_prefixes={self.base_prefixes!r}, base_units={self.base_units!r})"
         )
 
 

@@ -465,8 +465,11 @@ def test_defining_conversions_compare_by_rules_alone(siuk_pair):
     system, rules = siuk_pair
     twin = DefiningConversion(dict(rules.rules))
     assert twin == rules and twin._compiled is None
+    assert hash(twin) == hash(rules) and len({twin, rules}) == 1
     convert(system, rules, bare("m"), bare("m"))
     assert rules._compiled is not None and twin == rules
+    assert hash(twin) == hash(rules) and len({twin, rules}) == 1
+    assert hash(SI_RULES) == hash(DefiningConversion(dict(SI_RULES.rules)))
     assert repr(DefiningConversion({})) == "DefiningConversion(rules=mappingproxy({}))"
     with pytest.raises(AttributeError):
         twin.rules = {}  # type: ignore[misc]
@@ -496,6 +499,7 @@ def test_reports_compare_field_by_field(pair):
     report = analyze(system, rules)
     fields = (report.well_founded, report.cycle_witness, report.depth, report.iteration_bound)
     assert analyze(system, rules) == report == DependencyReport(*fields)
+    assert hash(analyze(system, rules)) == hash(report) == hash(DependencyReport(*fields))
     assert DependencyReport(*fields[:3], 99) != report
     with pytest.raises(AttributeError):
         first.consistency = "unknown"  # type: ignore[misc]

@@ -1,3 +1,4 @@
+import copy
 import operator
 import time
 from fractions import Fraction
@@ -8,17 +9,24 @@ from hypothesis import strategies as st
 
 from unical import (
     EQUIV_LEVELS,
+    MAP_GROUP,
     MAX_RATIO_BITS,
     RATIO_GROUP,
     AbstractUnit,
+    ClassificationReport,
+    ClosureExploration,
+    ConvTriple,
+    DependencyReport,
     EvaluatedUnit,
     ExponentMap,
+    GroupInterface,
     NormalizedUnit,
     PreUnit,
     RatioError,
     UnitSystem,
     UnknownSymbolError,
     abstract,
+    analyze,
     bundled_registry,
     dim,
     dim_root,
@@ -42,6 +50,7 @@ from unical import (
     unroot,
     val,
 )
+from unical.abelian import Immutable
 from unical.numeric import ratio_bits
 from support import bare, random_unit, unit_of
 
@@ -85,6 +94,13 @@ VALUE_RECORDS = [
     (NormalizedUnit, ("prefix", "root"), (em_delta("k"), em_delta("m")), (em_empty(), em_delta("m"))),
     (EvaluatedUnit, ("factor", "root"), (Fraction(1000), em_delta("m")), (Fraction(1000), em_delta("g"))),
     (AbstractUnit, ("factor", "dimension"), (Fraction(1000), em_delta("L")), (Fraction(1), em_delta("L"))),
+    (GroupInterface, ("combine", "invert", "neutral"), (em_mul, em_inv, em_empty()), (em_mul, em_inv, em_delta("x"))),
+    (
+        ClosureExploration,
+        ("triples", "witness", "bounds_hit"),
+        (frozenset({ConvTriple(em_empty(), Fraction(2), em_empty())}), None, ("max_word",)),
+        (frozenset(), None, ("max_word",)),
+    ),
 ]
 
 
@@ -96,13 +112,20 @@ def test_value_records_compare_and_hash_by_their_fields(cls, fields, values, oth
     assert record != cls(*other)
     # Neither a plain tuple nor another record class with the same values is equal.
     assert record != values
-    assert all(record != kind(*values) for kind, _, _, _ in VALUE_RECORDS if kind is not cls)
+    assert all(
+        record != kind(*values)
+        for kind, kind_fields, _, _ in VALUE_RECORDS
+        if kind is not cls and len(kind_fields) == len(fields)
+    )
 
 
 @pytest.mark.parametrize("cls, fields, values, other", VALUE_RECORDS)
 def test_value_records_refuse_assignment(cls, fields, values, other):
     record = cls(*values)
     assert tuple(getattr(record, field) for field in fields) == values
+    assert repr(record) == "%s(%s)" % (
+        cls.__name__, ", ".join(f"{field}={value!r}" for field, value in zip(fields, values))
+    )
     for field in fields:
         with pytest.raises(AttributeError):
             setattr(record, field, other[0])
@@ -116,6 +139,48 @@ def test_value_record_reprs_name_their_fields():
     assert repr(EvaluatedUnit(Fraction(1, 2), em_delta("m"))) == (
         "EvaluatedUnit(factor=Fraction(1, 2), root=ExponentMap({'m': 1}))"
     )
+
+
+def _record_classes():
+    found, pending = [], [Immutable]
+    while pending:
+        for cls in pending.pop().__subclasses__():
+            if cls.__module__.startswith("unical."):
+                found.append(cls)
+                pending.append(cls)
+    return found
+
+
+def test_records_take_value_semantics_from_their_base():
+    classes = _record_classes()
+    assert {ExponentMap, GroupInterface, PreUnit, UnitSystem, ConvTriple} <= set(classes)
+    for cls in classes:
+        assert set(cls._fields) <= set(cls.__slots__), cls
+        if cls is not ExponentMap:
+            assert "__eq__" not in vars(cls) and "__repr__" not in vars(cls), cls
+
+
+def test_records_copy_as_themselves():
+    _, rules = load_registry(bundled_registry("si"))
+    samples = [
+        ExponentMap({"a": 2, "b": -1}),
+        MAP_GROUP,
+        PreUnit(em_delta("k"), "m"),
+        NormalizedUnit(em_delta("k"), em_delta("m")),
+        EvaluatedUnit(Fraction(1000), em_delta("m")),
+        AbstractUnit(Fraction(1000), em_delta("L")),
+        SI,
+        ConvTriple(em_delta("x"), Fraction(2), em_delta("y")),
+        rules,
+        analyze(SI, rules),
+        ClosureExploration(frozenset({ConvTriple(em_empty(), Fraction(2), em_empty())}), None, ("max_word",)),
+        ClassificationReport(True, True, False, "guaranteed", iteration_bound=6),
+    ]
+    assert {type(record) for record in samples} == set(_record_classes())
+    for record in samples:
+        for duplicate in (copy.copy(record), copy.deepcopy(record), copy.deepcopy([record])[0]):
+            assert type(duplicate) is type(record) and duplicate == record
+            assert hash(duplicate) == hash(record) and repr(duplicate) == repr(record)
 
 
 def test_system_validates_prefix_values():
