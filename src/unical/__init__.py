@@ -13,179 +13,22 @@ layers imperial definitions on top. See docs/format.md for the
 registry file format.
 """
 
-from .abelian import (
-    ExponentMap,
-    GroupInterface,
-    MAP_GROUP,
-    em_delta,
-    em_empty,
-    em_eval,
-    em_factors,
-    em_flatten,
-    em_inv,
-    em_map,
-    em_mul,
-    em_pow,
-)
-from .convert import (
-    ClassificationReport,
-    ClosureExploration,
-    ConvTriple,
-    ConversionError,
-    DefiningConversion,
-    DependencyReport,
-    NotWellDefiningError,
-    RuleError,
-    analyze,
-    check_triples,
-    classify,
-    coherent,
-    convert,
-    defining_conversion,
-    explore_closure,
-    rwr_eval,
-    rwr_star,
-    xpd,
-)
-from .model import (
-    EQUIV_LEVELS,
-    RATIO_GROUP,
-    AbstractUnit,
-    EvaluatedUnit,
-    NormalizedUnit,
-    PreUnit,
-    UnitSystem,
-    UnknownSymbolError,
-    abstract,
-    dim,
-    dim_root,
-    equiv,
-    evaluate,
-    norm,
-    pref,
-    prefix_apply,
-    prefix_unit,
-    pval,
-    root,
-    strip,
-    unroot,
-    val,
-)
-from .numeric import (
-    MAX_RATIO_BITS,
-    ONE,
-    Ratio,
-    RatioError,
-    ratio_make,
-    ratio_parse,
-    ratio_text,
-    ratio_to_decimal,
-)
-from .registry import (
-    BUNDLED_REGISTRIES,
-    MAX_UNIT_EXPONENT,
-    MAX_UNIT_NESTING,
-    RegistryDocument,
-    RegistryError,
-    UnitSyntaxError,
-    UnknownIdentifierError,
-    build_system,
-    bundled_registry,
-    load_registry,
-    merge_documents,
-    parse_document,
-    parse_unit,
-    print_dimension,
-    print_evaluated,
-    print_normalized,
-    print_prefix,
-    print_root,
-    print_unit,
-    read_registry,
-)
+from . import abelian, convert, model, numeric, registry
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbstractUnit",
-    "BUNDLED_REGISTRIES",
-    "ClassificationReport",
-    "ClosureExploration",
-    "ConvTriple",
-    "ConversionError",
-    "DefiningConversion",
-    "DependencyReport",
-    "EQUIV_LEVELS",
-    "EvaluatedUnit",
-    "ExponentMap",
-    "GroupInterface",
-    "MAP_GROUP",
-    "MAX_RATIO_BITS",
-    "MAX_UNIT_EXPONENT",
-    "MAX_UNIT_NESTING",
-    "NormalizedUnit",
-    "NotWellDefiningError",
-    "ONE",
-    "PreUnit",
-    "RATIO_GROUP",
-    "Ratio",
-    "RatioError",
-    "RegistryDocument",
-    "RegistryError",
-    "RuleError",
-    "UnitSyntaxError",
-    "UnitSystem",
-    "UnknownIdentifierError",
-    "UnknownSymbolError",
-    "__version__",
-    "abstract",
-    "analyze",
-    "build_system",
-    "bundled_registry",
-    "check_triples",
-    "classify",
-    "coherent",
-    "convert",
-    "defining_conversion",
-    "dim",
-    "dim_root",
-    "em_delta",
-    "em_empty",
-    "em_eval",
-    "em_factors",
-    "em_flatten",
-    "em_inv",
-    "em_map",
-    "em_mul",
-    "em_pow",
-    "equiv",
-    "evaluate",
-    "explore_closure",
-    "load_registry",
-    "merge_documents",
-    "norm",
-    "parse_document",
-    "parse_unit",
-    "pref",
-    "prefix_apply",
-    "prefix_unit",
-    "print_dimension",
-    "print_evaluated",
-    "print_normalized",
-    "print_prefix",
-    "print_root",
-    "print_unit",
-    "pval",
-    "ratio_make",
-    "ratio_parse",
-    "ratio_text",
-    "ratio_to_decimal",
-    "read_registry",
-    "root",
-    "rwr_eval",
-    "rwr_star",
-    "strip",
-    "unroot",
-    "val",
-    "xpd",
-]
+# Each module's __all__ is its one list of public names; the package
+# exports their union. It is built before `from .convert import *`
+# rebinds `convert` from the module to the function.
+__all__ = ["__version__"]
+__all__ += abelian.__all__
+__all__ += convert.__all__
+__all__ += model.__all__
+__all__ += numeric.__all__
+__all__ += registry.__all__
+
+from .abelian import *
+from .convert import *
+from .model import *
+from .numeric import *
+from .registry import *

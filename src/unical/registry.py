@@ -632,15 +632,26 @@ def load_registry(*texts: str, include_pathological: bool = True) -> tuple[UnitS
     return build_system(merged, include_pathological=include_pathological)
 
 
+def _read_text(path: str, name: str) -> str:
+    """Text of the registry `name` stored at `path`: UTF-8, less one leading byte-order mark."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        # Decoded as plain UTF-8 so that the offset counts the mark too.
+        return data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as error:
+        raise RegistryError(
+            f"registry {name!r} is not UTF-8: {error.reason} at byte offset {error.start}"
+        ) from None
+
+
 def bundled_registry(name: str) -> str:
     """Text of a bundled registry (one of BUNDLED_REGISTRIES)."""
     if name not in BUNDLED_REGISTRIES:
         raise RegistryError(
             f"no bundled registry {name!r}; available: {', '.join(BUNDLED_REGISTRIES)}"
         )
-    path = os.path.join(os.path.dirname(__file__), "data", f"{name}.reg")
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    return _read_text(os.path.join(os.path.dirname(__file__), "data", f"{name}.reg"), name)
 
 
 def read_registry(item: str) -> str:
@@ -652,8 +663,7 @@ def read_registry(item: str) -> str:
     if item in BUNDLED_REGISTRIES:
         return bundled_registry(item)
     if os.path.exists(item):
-        with open(item, "r", encoding="utf-8") as handle:
-            return handle.read()
+        return _read_text(item, item)
     raise RegistryError(
         f"registry {item!r} is neither a readable file nor one of the bundled names "
         f"({', '.join(BUNDLED_REGISTRIES)})"

@@ -1,3 +1,4 @@
+import codecs
 import time
 from fractions import Fraction
 
@@ -137,6 +138,10 @@ def test_merge_rejects_unit_dimension_conflicts():
     merge_documents([one, restated])
 
 
+def test_merge_accepts_a_dimension_restated_by_a_later_file():
+    assert load_registry(bundled_registry("si"), "[dimensions]\nL\n") == (SI, SI_RULES)
+
+
 def test_build_system_rejects_unknown_dimension_symbols():
     doc = parse_document("[units]\nm L\n")
     with pytest.raises(RegistryError):
@@ -171,6 +176,15 @@ def test_read_registry_reads_a_file_path(tmp_path):
     path = tmp_path / "sample.reg"
     path.write_text(SAMPLE, encoding="utf-8")
     assert read_registry(str(path)) == SAMPLE
+
+
+def test_read_registry_skips_a_byte_order_mark_and_counts_it_in_offsets(tmp_path):
+    path = tmp_path / "si.reg"
+    path.write_bytes(codecs.BOM_UTF8 + bundled_registry("si").encode("utf-8"))
+    assert load_registry(read_registry(str(path))) == (SI, SI_RULES)
+    path.write_bytes(codecs.BOM_UTF8 + b"[dimensions]\nL \xff\n")
+    with pytest.raises(RegistryError, match="invalid start byte at byte offset 18$"):
+        read_registry(str(path))
 
 
 def test_read_registry_reads_a_bundled_name():

@@ -38,14 +38,20 @@ def test_depth_report_on_a_chain_of_a_thousand_rules(capsys, monkeypatch, tmp_pa
 def test_depth_report_reports_a_bad_registry_as_the_cli_does(capsys, monkeypatch, tmp_path):
     prose = tmp_path / "prose.md"
     prose.write_text("# unical\n\nExact calculus for units of measure.\n", encoding="utf-8")
-    monkeypatch.setattr(sys, "argv", ["depth_report.py", "--registry", str(prose)])
-    with pytest.raises(SystemExit) as exited:
-        runpy.run_path(str(SCRIPTS / "depth_report.py"), run_name="__main__")
-    captured = capsys.readouterr()
-    assert exited.value.code == 2 and not captured.out
-    assert captured.err == "error: line 3: content before any section header\n"
-    assert cli_main(["classify", "--registry", str(prose)]) == 2
-    assert capsys.readouterr().err == captured.err
+    not_utf8 = tmp_path / "f.reg"
+    not_utf8.write_bytes(b"\xff\xfe")
+    for path, message in (
+        (prose, "line 3: content before any section header"),
+        (not_utf8, f"registry {str(not_utf8)!r} is not UTF-8: invalid start byte at byte offset 0"),
+    ):
+        monkeypatch.setattr(sys, "argv", ["depth_report.py", "--registry", str(path)])
+        with pytest.raises(SystemExit) as exited:
+            runpy.run_path(str(SCRIPTS / "depth_report.py"), run_name="__main__")
+        captured = capsys.readouterr()
+        assert exited.value.code == 2 and not captured.out
+        assert captured.err == f"error: {message}\n"
+        assert cli_main(["classify", "--registry", str(path)]) == 2
+        assert capsys.readouterr().err == captured.err
 
 
 def test_prefix_census_default_run(capsys, monkeypatch):
