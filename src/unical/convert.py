@@ -119,7 +119,7 @@ class DefiningConversion(Immutable):
     __slots__ = ("rules", "_compiled")
     _fields = ("rules",)
 
-    _compiled: Optional[tuple[UnitSystem, Mapping[str, EvaluatedUnit], Mapping[str, str]]]
+    _compiled: Optional[tuple[UnitSystem, Mapping[str, _NormalForm], Mapping[str, str]]]
 
     def __init__(self, rules: Rules):
         object.__setattr__(self, "rules", MappingProxyType(dict(rules)))
@@ -274,12 +274,6 @@ def xpd(system: UnitSystem, conversion: DefiningConversion, base: str) -> tuple[
     return rule
 
 
-def _expand_base(system: UnitSystem, conversion: DefiningConversion, base: str) -> EvaluatedUnit:
-    ratio, replacement = xpd(system, conversion, base)
-    expanded = evaluate(system, replacement)
-    return EvaluatedUnit(ratio * expanded.factor, expanded.root)
-
-
 def _power_product(powers: list[tuple[Fraction, int]], what: str) -> Fraction:
     """The product of ratio powers, with `val`'s bound checked first.
 
@@ -301,26 +295,74 @@ def rwr_eval(system: UnitSystem, conversion: DefiningConversion, unit: Evaluated
     Rule factors are raised to the unit's exponents under `val`'s bound,
     as in `convert`.
     """
-    return _substitute({base: _expand_base(system, conversion, base) for base in unit.root}, unit)
-
-
-def _substitute(normal_forms: Mapping[str, EvaluatedUnit], unit: EvaluatedUnit) -> EvaluatedUnit:
-    """Replace each root symbol that has a normal form by that form."""
     powers: list[tuple[Fraction, int]] = []
     pairs: list[tuple[str, int]] = []
     for base, exponent in unit.root.items():
-        expanded = normal_forms.get(base)
-        if expanded is None:
-            pairs.append((base, exponent))
-        else:
-            powers.append((expanded.factor, exponent))
-            pairs.extend((symbol, z * exponent) for symbol, z in expanded.root.items())
+        ratio, replacement = xpd(system, conversion, base)
+        expanded = evaluate(system, replacement)
+        powers.append((ratio * expanded.factor, exponent))
+        pairs.extend((symbol, z * exponent) for symbol, z in expanded.root.items())
     return EvaluatedUnit(unit.factor * _power_product(powers, "rewritten factor"), ExponentMap(pairs))
+
+
+# A compiled normal form: the factor's (numerator, denominator), its bits
+# for the substitution bound (0 for a factor of one), the root's pairs.
+_NormalForm = tuple[tuple[int, int], int, list[tuple[str, int]]]
+
+
+def _expand(
+    system: UnitSystem, table: Mapping[str, _NormalForm], refused: Mapping[str, str], unit: Unit
+) -> tuple[int, int, list[tuple[str, int]]]:
+    """Evaluate a unit and substitute the table's normal forms, in one walk.
+
+    Returns the factor's numerator and denominator, unreduced, and the
+    root's canonical pairs. Raises as `evaluate` then substitution would:
+    `_check_unit`'s errors, `val`'s bound, the first refused root symbol,
+    then the bound on the substituted powers, before any power is taken.
+    """
+    bases: dict[str, int] = {}
+    values: dict[tuple[int, int], int] = {}
+    for preunit, z in unit.items():
+        if not isinstance(preunit, PreUnit) or type(preunit.prefix) is not ExponentMap:
+            # Outside the Unit type: the reference says what it means, or raises.
+            evaluated = evaluate(system, unit)
+            values = {(evaluated.factor.numerator, evaluated.factor.denominator): 1}
+            bases = dict(evaluated.root.items())
+            break
+        if preunit.base not in system.base_units:
+            raise UnknownSymbolError(f"unknown base unit {preunit.base!r}")
+        for symbol, e in preunit.prefix.items():
+            value = system.base_prefixes.get(symbol)
+            if value is None:
+                raise UnknownSymbolError(f"unknown prefix {symbol!r}")
+            key = (value.numerator, value.denominator)
+            values[key] = values.get(key, 0) + e * z
+        bases[preunit.base] = bases.get(preunit.base, 0) + z
+    ratio_check_bits(
+        sum(abs(e) * max(n.bit_length(), d.bit_length()) for (n, d), e in values.items()), "prefix value"
+    )
+    expanded: dict[str, int] = {}
+    bits = 0
+    for base, z in sorted(bases.items()):
+        if z and base in refused:
+            raise RatioError(refused[base])
+        # Normal-form factors join the prefix values; a symbol without a form stands for itself.
+        key, form_bits, pairs = table.get(base) or ((1, 1), 0, ((base, 1),))
+        bits += abs(z) * form_bits
+        values[key] = values.get(key, 0) + z
+        for symbol, e in pairs:
+            expanded[symbol] = expanded.get(symbol, 0) + e * z
+    ratio_check_bits(bits, "rewritten factor")
+    numerator = denominator = 1
+    for (n, d), e in values.items():
+        numerator *= n**e if e > 0 else d**-e
+        denominator *= d**e if e > 0 else n**-e
+    return numerator, denominator, sorted((symbol, e) for symbol, e in expanded.items() if e)
 
 
 def _normal_forms(
     system: UnitSystem, conversion: DefiningConversion
-) -> tuple[Mapping[str, EvaluatedUnit], Mapping[str, str]]:
+) -> tuple[Mapping[str, _NormalForm], Mapping[str, str]]:
     """The fully expanded form of every ruled symbol, compiled once.
 
     For well-founded rules full expansion is a group homomorphism of the
@@ -340,17 +382,21 @@ def _normal_forms(
     cycle, order = _walk(direct)
     if cycle is not None:
         raise NotWellDefiningError(cycle)
-    table: dict[str, EvaluatedUnit] = {}
+    table: dict[str, _NormalForm] = {}
     refused: dict[str, str] = {}
     for base in order:
         reached = [refused[symbol] for symbol in direct[base] if symbol in refused]
         if reached:
             refused[base] = reached[0]
             continue
+        ratio, replacement = xpd(system, conversion, base)
         try:
-            table[base] = _substitute(table, _expand_base(system, conversion, base))
+            numerator, denominator, pairs = _expand(system, table, refused, replacement)
         except RatioError:
             refused[base] = f"normal form of {base!r} is too large: over MAX_RATIO_BITS = {MAX_RATIO_BITS} bits"
+            continue
+        factor = ratio * Fraction(numerator, denominator)
+        table[base] = ((factor.numerator, factor.denominator), 0 if factor == 1 else ratio_bits(factor), pairs)
     object.__setattr__(conversion, "_compiled", (system, table, refused))
     return table, refused
 
@@ -360,19 +406,14 @@ def rwr_star(system: UnitSystem, conversion: DefiningConversion, unit: Unit) -> 
 
     The fixed point is what `iteration_bound` parallel `rwr_eval` passes
     reach. That bound is worked out once per rule set and system, into a
-    table of each ruled symbol's normal form, so a unit is expanded by
-    one evaluation and one substitution pass over its root. Raises
+    table of each ruled symbol's normal form, so a unit is expanded in
+    one walk over its factors, building one Fraction and one map. Raises
     NotWellDefiningError on cyclic rules, before the unit is looked at,
     and RatioError naming the symbol when the unit reaches a ruled
     symbol whose normal form passes MAX_RATIO_BITS.
     """
-    table, refused = _normal_forms(system, conversion)
-    evaluated = evaluate(system, unit)
-    if refused:
-        for base in evaluated.root:
-            if base in refused:
-                raise RatioError(refused[base])
-    return _substitute(table, evaluated)
+    numerator, denominator, pairs = _expand(system, *_normal_forms(system, conversion), unit)
+    return EvaluatedUnit(Fraction(numerator, denominator), ExponentMap._canonical(tuple(pairs)))
 
 
 def convert(
@@ -380,7 +421,7 @@ def convert(
 ) -> Optional[Fraction]:
     """Exact conversion factor from `source` to `target`, or None.
 
-    Both units are fully expanded by `rwr_star`; they are convertible
+    Both units are fully expanded as by `rwr_star`; they are convertible
     exactly when the expanded roots coincide, and then source = factor *
     target with factor the quotient of the expanded scale factors. Each
     rule factor is raised to its unit exponent only after `val`'s bound,
@@ -388,11 +429,12 @@ def convert(
     past it RatioError is raised. Like `val`'s, the bound over-estimates,
     so a few units whose factors would cancel are refused too.
     """
-    expanded_source = rwr_star(system, conversion, source)
-    expanded_target = rwr_star(system, conversion, target)
-    if expanded_source.root != expanded_target.root:
+    table, refused = _normal_forms(system, conversion)
+    source_numerator, source_denominator, source_root = _expand(system, table, refused, source)
+    target_numerator, target_denominator, target_root = _expand(system, table, refused, target)
+    if source_root != target_root:
         return None
-    return expanded_source.factor / expanded_target.factor
+    return Fraction(source_numerator * target_denominator, source_denominator * target_numerator)
 
 
 def coherent(system: UnitSystem, conversion: DefiningConversion, left: Unit, right: Unit) -> bool:
@@ -638,8 +680,9 @@ def _relation_witness(system: UnitSystem, conversion: DefiningConversion) -> Opt
     ratios: list[Fraction] = []
     vectors: list[dict[str, int]] = []
     for base in sorted(conversion.rules):
-        expanded = _expand_base(system, conversion, base)
-        ratios.append(expanded.factor)
+        ratio, replacement = xpd(system, conversion, base)
+        expanded = evaluate(system, replacement)
+        ratios.append(ratio * expanded.factor)
         vector = {symbol: -z for symbol, z in expanded.root.items()}
         vector[base] = vector.get(base, 0) + 1
         vectors.append({symbol: z for symbol, z in vector.items() if z})

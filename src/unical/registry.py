@@ -111,6 +111,9 @@ MAX_UNIT_EXPONENT = 10**9
 MAX_MEMO_IDENTIFIERS = 4096
 MAX_MEMO_IDENTIFIER_LEN = 32
 
+# Largest registry file read, in bytes; the bundled si and uk take 1509.
+MAX_REGISTRY_BYTES = 1 << 20
+
 _SEGMENT = r"[^\s0-9_*/^()#\-]+"
 _IDENT_RE = re.compile(rf"{_SEGMENT}(?:(?:\^-?[0-9]+)?_{_SEGMENT})*")
 _NUMBER_RE = re.compile(r"-?[0-9]+")
@@ -135,8 +138,8 @@ def _tokenize(text: str) -> list[_Token]:
             tokens.append((ch, ch, pos))
             pos += 1
             continue
-        match = _NUMBER_RE.match(text, pos)
-        if match and (ch.isdigit() or ch == "-"):
+        match = (ch.isdigit() or ch == "-") and _NUMBER_RE.match(text, pos)
+        if match:
             tokens.append(("number", match.group(), pos))
             pos = match.end()
             continue
@@ -633,9 +636,14 @@ def load_registry(*texts: str, include_pathological: bool = True) -> tuple[UnitS
 
 
 def _read_text(path: str, name: str) -> str:
-    """Text of the registry `name` stored at `path`: UTF-8, less one leading byte-order mark."""
+    """Text of the registry `name` stored at `path`: UTF-8, less one leading byte-order mark.
+
+    At most MAX_REGISTRY_BYTES are read; a longer file is refused.
+    """
     with open(path, "rb") as handle:
-        data = handle.read()
+        data = handle.read(MAX_REGISTRY_BYTES + 1)
+    if len(data) > MAX_REGISTRY_BYTES:
+        raise RegistryError(f"registry {name!r} is over MAX_REGISTRY_BYTES = {MAX_REGISTRY_BYTES} bytes")
     try:
         # Decoded as plain UTF-8 so that the offset counts the mark too.
         return data.decode("utf-8").removeprefix("\ufeff")

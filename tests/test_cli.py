@@ -9,6 +9,7 @@ import pytest
 
 import unical
 from unical.cli import main
+from unical.registry import MAX_REGISTRY_BYTES
 from support import chain_registry_text
 
 LITRE_TEXT = """\
@@ -213,6 +214,28 @@ def test_ratios_past_the_limit_exit_two(capsys):
     for argv in (("convert", "lb^100000", "kg^100000"), ("explain", "lb^100000")):
         code, out, err = run_within_a_second(capsys, *argv, "--registry", "si", "--registry", "uk")
         assert code == 2 and not out and "MAX_RATIO_BITS" in err
+
+
+def test_the_documented_bound_boundaries_hold(capsys):
+    registries = ("--registry", "si", "--registry", "uk")
+    for source, target in (("lb^538", "g^538"), ("Ym^175", "m^175")):
+        code, out, _ = run_within_a_second(capsys, "convert", source, target, *registries)
+        assert code == 0 and out.startswith("ratio: ")
+    refused = (("lb^539", "g^539", "rewritten factor"), ("Ym^176", "m^176", "prefix value"))
+    for source, target, bound in refused:
+        code, out, err = run_within_a_second(capsys, "convert", source, target, *registries)
+        assert code == 2 and not out
+        assert err == f"error: {bound} is too large: over MAX_RATIO_BITS = 14000 bits\n"
+
+
+@pytest.mark.skipif(not Path("/dev/zero").exists(), reason="needs /dev/zero")
+def test_a_registry_past_the_byte_limit_exits_two(capsys, tmp_path):
+    over = tmp_path / "over.reg"
+    over.write_bytes(b"#" * (MAX_REGISTRY_BYTES + 1))
+    for path in ("/dev/zero", str(over)):
+        code, out, err = run_within_a_second(capsys, "convert", "m", "m", "--registry", path)
+        assert code == 2 and not out
+        assert err == f"error: registry {path!r} is over MAX_REGISTRY_BYTES = {MAX_REGISTRY_BYTES} bytes\n"
 
 
 def test_an_oversized_normal_form_refuses_only_the_conversions_that_reach_it(capsys, tmp_path):

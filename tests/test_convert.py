@@ -14,6 +14,7 @@ from unical import (
     DependencyReport,
     ExponentMap,
     NotWellDefiningError,
+    PreUnit,
     RatioError,
     RuleError,
     UnitSystem,
@@ -642,3 +643,118 @@ def test_rule_factor_powers_are_bounded_before_they_are_taken(siuk_pair):
     assert convert(system, rules, parse_unit(system, "Hz^20000"), parse_unit(system, "s^-20000")) == 1
     metres = evaluate(system, bare("m", 20000))
     assert rwr_eval(system, rules, metres) == metres
+
+
+# As in test_an_oversized_normal_form_refuses_only_the_conversions_that_reach_it,
+# with a second oversized symbol, v, to show which refusal comes first.
+OVERSIZED_EXTRA = """\
+[units]
+x L
+y L
+z L
+w L^2
+v L
+[rules]
+x 2 z
+y 1 x^20000*z^-19999
+w 3 y*m
+v 1 x^20000*z^-19999
+"""
+
+
+def _refusal(call):
+    with pytest.raises(Exception) as raised:
+        call()
+    return type(raised.value), str(raised.value)
+
+
+def _refusals(system, rules, unit):
+    """What rwr_star, and convert with the unit on either side, raise for `unit` (text or unit)."""
+    if isinstance(unit, str):
+        unit = parse_unit(system, unit)
+    other = em_empty()
+    return {
+        _refusal(lambda: rwr_star(system, rules, unit)),
+        _refusal(lambda: convert(system, rules, unit, other)),
+        _refusal(lambda: convert(system, rules, other, unit)),
+    }
+
+
+def _too_large(what):
+    return {(RatioError, f"{what} is too large: over MAX_RATIO_BITS = 14000 bits")}
+
+
+def test_rwr_star_and_convert_refuse_malformed_units_as_evaluate_does(siuk_pair):
+    system, rules = siuk_pair
+    odd = PreUnit(("k",), "m")
+    cases = [
+        (ExponentMap({"m": 1}), TypeError, "unit generators must be PreUnit values, got 'm'"),
+        (bare("qq"), UnknownSymbolError, "unknown base unit 'qq'"),
+        (unit_of(("m", 1, {"qq": 1})), UnknownSymbolError, "unknown prefix 'qq'"),
+        # Each generator is checked in turn: the bad prefix on `g` comes first.
+        (unit_of(("g", 1, {"qq": 1}), ("zz", 1)), UnknownSymbolError, "unknown prefix 'qq'"),
+        # A prefix that is not an exponent map is read as the reference reads it.
+        (ExponentMap({odd: 1}), TypeError, "em_flatten needs ExponentMap generators, got ('k',)"),
+        (ExponentMap({odd: 1, PreUnit(em_empty(), "qq"): 1}), UnknownSymbolError, "unknown base unit 'qq'"),
+    ]
+    for unit, kind, message in cases:
+        assert _refusals(system, rules, unit) == {(kind, message)}
+        assert _refusal(lambda: evaluate(system, unit)) == (kind, message)
+    cancelled = ExponentMap({odd: 1, PreUnit(("k",), "g"): -1})
+    assert rwr_star(system, rules, cancelled) == rwr_star(system, rules, parse_unit(system, "m/g"))
+
+
+def test_the_prefix_value_bound_wins_over_the_rewritten_factor_bound(siuk_pair):
+    system, rules = siuk_pair
+    assert _refusals(system, rules, "Ym^176*lb^539") == _too_large("prefix value")
+    assert _refusals(system, rules, "lb^539") == _too_large("rewritten factor")
+
+
+def test_a_refused_normal_form_is_reported_as_the_unit_reaches_it():
+    system, rules = load_registry(bundled_registry("si"), OVERSIZED_EXTRA)
+    for text in ("y", "w", "y*x", "x*w^-2", "N^1401*y"):
+        assert _refusals(system, rules, text) == _too_large("normal form of 'y'")
+    # The first refused symbol in root order is named.
+    assert _refusals(system, rules, "y*v") == _too_large("normal form of 'v'")
+    # The prefix bound comes first; a symbol that cancels out is never reached.
+    assert _refusals(system, rules, "Ym^176*y") == _too_large("prefix value")
+    assert rwr_star(system, rules, parse_unit(system, "k_y*y^-1")).factor == 1000
+
+
+def test_cyclic_rules_are_refused_before_any_unit_is_checked():
+    system, rules = cyclic_pair()
+    message = "rules are not well-defining; dependency cycle: a > b > a"
+    for unit in (bare("a"), bare("qq"), ExponentMap({"a": 1}), unit_of(("a", 1, {"qq": 1}))):
+        assert _refusals(system, rules, unit) == {(NotWellDefiningError, message)}
+
+
+def test_the_documented_bound_boundaries_hold(siuk_pair):
+    system, rules = siuk_pair
+    pound = convert(system, rules, parse_unit(system, "lb"), parse_unit(system, "g"))
+    factor = convert(system, rules, parse_unit(system, "lb^538"), parse_unit(system, "g^538"))
+    assert factor == pound**538 and factor.numerator.bit_length() == 13684
+    expanded = rwr_star(system, rules, parse_unit(system, "lb^538"))
+    assert expanded.factor == factor and expanded.root == ExponentMap({"g": 538})
+    assert convert(system, rules, parse_unit(system, "Ym^175"), parse_unit(system, "m^175")) == 10**4200
+    assert _refusals(system, rules, "lb^539") == _too_large("rewritten factor")
+    assert _refusals(system, rules, "Ym^176") == _too_large("prefix value")
+
+
+@given(st.randoms(use_true_random=False))
+def test_rwr_star_and_convert_merge_prefixes_of_equal_value(rng):
+    base_count = rng.randint(2, 6)
+    chain, chain_rules, bases = random_chain_system(rng, base_count, rng.randint(1, base_count - 1), 0.5)
+    # "q2" is worth what "p2" is worth, so `val` sums their exponents and
+    # opposite powers cancel before its bound is checked.
+    system = UnitSystem(chain.base_dimensions, {**chain.base_prefixes, "q2": Fraction(2)}, chain.base_units)
+    rules = defining_conversion(system, chain_rules.rules)
+    bound = analyze(system, rules).iteration_bound
+    power = rng.choice([1, 3, 20000])
+    shared = unit_of((rng.choice(bases), 1, {"p2": power}), (rng.choice(bases), 1, {"q2": -power}))
+    source = em_mul(random_unit(rng, system), shared)
+    expanded = exhaust(system, rules, source, bound)
+    assert rwr_star(system, rules, source) == expanded
+    target = rng.choice([random_unit(rng, system), strip(source), unroot(expanded.root)])
+    expanded_target = exhaust(system, rules, target, bound)
+    expected = expanded.factor / expanded_target.factor if expanded.root == expanded_target.root else None
+    assert convert(system, rules, source, target) == expected

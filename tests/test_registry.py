@@ -38,7 +38,7 @@ from unical import (
     read_registry,
 )
 from unical import registry
-from unical.registry import MAX_MEMO_IDENTIFIER_LEN, _resolve_identifier
+from unical.registry import MAX_MEMO_IDENTIFIER_LEN, MAX_REGISTRY_BYTES, _resolve_identifier
 from support import as_preunit, bare, random_unit, unit_of
 
 SI, SI_RULES = load_registry(bundled_registry("si"))
@@ -185,6 +185,19 @@ def test_read_registry_skips_a_byte_order_mark_and_counts_it_in_offsets(tmp_path
     path.write_bytes(codecs.BOM_UTF8 + b"[dimensions]\nL \xff\n")
     with pytest.raises(RegistryError, match="invalid start byte at byte offset 18$"):
         read_registry(str(path))
+
+
+def test_read_registry_refuses_a_file_past_the_byte_limit(tmp_path):
+    total = sum(len(bundled_registry(name).encode("utf-8")) for name in BUNDLED_REGISTRIES)
+    assert total < MAX_REGISTRY_BYTES
+    path = tmp_path / "comments.reg"
+    path.write_bytes(b"#" * MAX_REGISTRY_BYTES)
+    assert read_registry(str(path)) == "#" * MAX_REGISTRY_BYTES
+    path.write_bytes(b"#" * (MAX_REGISTRY_BYTES + 1))
+    message = f"registry {str(path)!r} is over MAX_REGISTRY_BYTES = {MAX_REGISTRY_BYTES} bytes"
+    with pytest.raises(RegistryError) as raised:
+        read_registry(str(path))
+    assert str(raised.value) == message
 
 
 def test_read_registry_reads_a_bundled_name():
