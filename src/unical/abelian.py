@@ -140,7 +140,7 @@ class ExponentMap(Immutable):
         return 0
 
     def __iter__(self) -> Iterator[Any]:
-        return (generator for generator, _ in self._entries)
+        return map(_GENERATOR, self._entries)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -149,7 +149,10 @@ class ExponentMap(Immutable):
         return bool(self._entries)
 
     def __contains__(self, generator: Any) -> bool:
-        return any(candidate == generator for candidate, _ in self._entries)
+        for candidate, _ in self._entries:
+            if candidate == generator:
+                return True
+        return False
 
     def __eq__(self, other: Any) -> bool:
         if not isinstance(other, ExponentMap):

@@ -19,10 +19,11 @@ from graphlib import CycleError, TopologicalSorter
 from math import gcd
 from types import MappingProxyType
 from functools import total_ordering
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .abelian import ExponentMap, Immutable, em_delta, em_empty, em_inv, em_mul
 from .model import (
+    MAX_MEMO_IDENTIFIERS,
     EvaluatedUnit,
     PreUnit,
     Unit,
@@ -33,6 +34,7 @@ from .model import (
     pval,
     root,
     strip,
+    val,
 )
 from .numeric import MAX_RATIO_BITS, ONE, RatioError, ratio_bits, ratio_check_bits, ratio_inv
 
@@ -113,13 +115,15 @@ class DefiningConversion(Immutable):
     the constructor itself only freezes the mapping. The normal-form
     table that `rwr_star` and `convert` use is compiled on first use and
     kept in `_compiled`, together with the unit system it was compiled
-    against; equality, hashing and the repr leave it out.
+    against, the refused symbols, and a memo of expanded factors that
+    fills as units are expanded, holding at most MAX_MEMO_IDENTIFIERS
+    entries; equality, hashing and the repr leave it out.
     """
 
     __slots__ = ("rules", "_compiled")
     _fields = ("rules",)
 
-    _compiled: Optional[tuple[UnitSystem, Mapping[str, _NormalForm], Mapping[str, str]]]
+    _compiled: Optional[tuple[UnitSystem, Mapping[str, _NormalForm], Mapping[str, str], dict[PreUnit, _Factor]]]
 
     def __init__(self, rules: Rules):
         object.__setattr__(self, "rules", MappingProxyType(dict(rules)))
@@ -309,9 +313,18 @@ def rwr_eval(system: UnitSystem, conversion: DefiningConversion, unit: Evaluated
 # for the substitution bound (0 for a factor of one), the root's pairs.
 _NormalForm = tuple[tuple[int, int], int, list[tuple[str, int]]]
 
+# A memoised factor: the numerator and denominator of its prefix value
+# times its base's normal form, in lowest terms; its bits, at least what
+# it adds to each of `_expand`'s two bounds; the normal form's root pairs.
+_Factor = tuple[int, int, int, Sequence[tuple[str, int]]]
+
 
 def _expand(
-    system: UnitSystem, table: Mapping[str, _NormalForm], refused: Mapping[str, str], unit: Unit
+    system: UnitSystem,
+    table: Mapping[str, _NormalForm],
+    refused: Mapping[str, str],
+    memo: Optional[dict[PreUnit, _Factor]],
+    unit: Unit,
 ) -> tuple[int, int, list[tuple[str, int]]]:
     """Evaluate a unit and substitute the table's normal forms, in one walk.
 
@@ -319,7 +332,33 @@ def _expand(
     root's canonical pairs. Raises as `evaluate` then substitution would:
     `_check_unit`'s errors, `val`'s bound, the first refused root symbol,
     then the bound on the substituted powers, before any power is taken.
+
+    Full expansion is a homomorphism, so each factor can be expanded on
+    its own. While every factor is in `memo` and the sum of |exponent| *
+    bits over them stays within MAX_RATIO_BITS, checked before each
+    power, that sum bounds both bounds, and the memo's entries are
+    multiplied out. Otherwise the unit is walked factor by factor, which
+    decides every refusal and memoises each checked factor whose base is
+    not refused.
     """
+    if memo:
+        numerator = denominator = 1
+        bits = 0
+        expanded: dict[str, int] = {}
+        for preunit, z in unit.items():
+            factor = memo.get(preunit)
+            if factor is None:
+                break
+            n, d, factor_bits, pairs = factor
+            bits += abs(z) * factor_bits
+            if bits > MAX_RATIO_BITS:
+                break
+            numerator *= n**z if z > 0 else d**-z
+            denominator *= d**z if z > 0 else n**-z
+            for symbol, e in pairs:
+                expanded[symbol] = expanded.get(symbol, 0) + e * z
+        else:
+            return numerator, denominator, sorted([(symbol, e) for symbol, e in expanded.items() if e])
     bases: dict[str, int] = {}
     values: dict[tuple[int, int], int] = {}
     for preunit, z in unit.items():
@@ -338,6 +377,8 @@ def _expand(
             key = (value.numerator, value.denominator)
             values[key] = values.get(key, 0) + e * z
         bases[preunit.base] = bases.get(preunit.base, 0) + z
+        if memo is not None and preunit.base not in refused and preunit not in memo:
+            _remember(system, table, memo, preunit)
     ratio_check_bits(
         sum(abs(e) * max(n.bit_length(), d.bit_length()) for (n, d), e in values.items()), "prefix value"
     )
@@ -360,9 +401,26 @@ def _expand(
     return numerator, denominator, sorted((symbol, e) for symbol, e in expanded.items() if e)
 
 
+def _remember(
+    system: UnitSystem, table: Mapping[str, _NormalForm], memo: dict[PreUnit, _Factor], preunit: PreUnit
+) -> None:
+    """Memoise a checked factor, unless its bits pass MAX_RATIO_BITS.
+
+    The bits are sum |exponent| * bits(value) over the prefix's symbols,
+    at least what `val` bounds, plus the normal form's.
+    """
+    (numerator, denominator), bits, pairs = table.get(preunit.base) or ((1, 1), 0, ((preunit.base, 1),))
+    bits += sum(abs(e) * ratio_bits(system.base_prefixes[symbol]) for symbol, e in preunit.prefix.items())
+    if bits <= MAX_RATIO_BITS:
+        factor = val(system, preunit.prefix) * Fraction(numerator, denominator)
+        if len(memo) >= MAX_MEMO_IDENTIFIERS:
+            memo.clear()
+        memo[preunit] = (factor.numerator, factor.denominator, bits, pairs)
+
+
 def _normal_forms(
     system: UnitSystem, conversion: DefiningConversion
-) -> tuple[Mapping[str, _NormalForm], Mapping[str, str]]:
+) -> tuple[Mapping[str, _NormalForm], Mapping[str, str], dict[PreUnit, _Factor]]:
     """The fully expanded form of every ruled symbol, compiled once.
 
     For well-founded rules full expansion is a group homomorphism of the
@@ -373,11 +431,13 @@ def _normal_forms(
     form past MAX_RATIO_BITS is left out of the table; its symbol, and
     every symbol that depends on it, maps instead to the refusal that a
     conversion reaching it raises. Raises NotWellDefiningError on cyclic
-    rules.
+    rules. The memo of expanded factors starts empty: while the table is
+    built, a symbol that cancels out of a replacement may not have its
+    form yet.
     """
     compiled = conversion._compiled
     if compiled is not None and compiled[0] is system:
-        return compiled[1], compiled[2]
+        return compiled[1:]
     direct = _direct_dependencies(conversion)
     cycle, order = _walk(direct)
     if cycle is not None:
@@ -391,14 +451,15 @@ def _normal_forms(
             continue
         ratio, replacement = xpd(system, conversion, base)
         try:
-            numerator, denominator, pairs = _expand(system, table, refused, replacement)
+            numerator, denominator, pairs = _expand(system, table, refused, None, replacement)
         except RatioError:
             refused[base] = f"normal form of {base!r} is too large: over MAX_RATIO_BITS = {MAX_RATIO_BITS} bits"
             continue
         factor = ratio * Fraction(numerator, denominator)
         table[base] = ((factor.numerator, factor.denominator), 0 if factor == 1 else ratio_bits(factor), pairs)
-    object.__setattr__(conversion, "_compiled", (system, table, refused))
-    return table, refused
+    memo: dict[PreUnit, _Factor] = {}
+    object.__setattr__(conversion, "_compiled", (system, table, refused, memo))
+    return table, refused, memo
 
 
 def rwr_star(system: UnitSystem, conversion: DefiningConversion, unit: Unit) -> EvaluatedUnit:
@@ -427,11 +488,13 @@ def convert(
     rule factor is raised to its unit exponent only after `val`'s bound,
     sum |exponent| * bits(factor), is checked against MAX_RATIO_BITS;
     past it RatioError is raised. Like `val`'s, the bound over-estimates,
-    so a few units whose factors would cancel are refused too.
+    so a few units whose factors would cancel are refused too. A factor
+    met before, such as `km`, is expanded once per rule set and then read
+    from a memo; the answers and the refusals are the same either way.
     """
-    table, refused = _normal_forms(system, conversion)
-    source_numerator, source_denominator, source_root = _expand(system, table, refused, source)
-    target_numerator, target_denominator, target_root = _expand(system, table, refused, target)
+    compiled = _normal_forms(system, conversion)
+    source_numerator, source_denominator, source_root = _expand(system, *compiled, source)
+    target_numerator, target_denominator, target_root = _expand(system, *compiled, target)
     if source_root != target_root:
         return None
     return Fraction(source_numerator * target_denominator, source_denominator * target_numerator)

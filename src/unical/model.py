@@ -73,6 +73,12 @@ RATIO_GROUP: GroupInterface[Fraction] = GroupInterface(
 )
 
 
+# Most entries in a memo that untrusted text fills: a system's memo of
+# resolved identifiers, and a rule set's memo of expanded factors. A full
+# memo is emptied and refills.
+MAX_MEMO_IDENTIFIERS = 4096
+
+
 class UnknownSymbolError(LookupError):
     """A symbol is not registered in the unit system at hand."""
 
@@ -86,11 +92,20 @@ class PreUnit(Immutable):
     renderings group factors of the same base unit together.
     """
 
-    __slots__ = ("prefix", "base")
+    __slots__ = ("prefix", "base", "_hash")
+    _fields = ("prefix", "base")
 
     def __init__(self, prefix: Prefix, base: str):
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "base", base)
+
+    def __hash__(self) -> int:
+        # Kept after first use: every map keyed by a PreUnit hashes it again.
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.prefix, self.base)))
+            return self._hash
 
     def __lt__(self, other: "PreUnit") -> bool:
         if not isinstance(other, PreUnit):
@@ -183,11 +198,13 @@ class UnitSystem(Immutable):
 
 
 def _check_unit(system: UnitSystem, unit: Unit) -> None:
-    for preunit in unit:
+    for preunit, _ in unit.items():
         if not isinstance(preunit, PreUnit):
             raise TypeError(f"unit generators must be PreUnit values, got {preunit!r}")
         if preunit.base not in system.base_units:
             raise UnknownSymbolError(f"unknown base unit {preunit.base!r}")
+        # Iterated rather than read by items(), so that a prefix outside the
+        # Prefix type is checked as it is and left for em_flatten to refuse.
         for symbol in preunit.prefix:
             if symbol not in system.base_prefixes:
                 raise UnknownSymbolError(f"unknown prefix {symbol!r}")

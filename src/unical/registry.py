@@ -16,11 +16,13 @@ import os
 import re
 import unicodedata
 from fractions import Fraction
+from functools import partial
 from typing import Any, Callable, Iterable, NamedTuple, Optional
 
-from .abelian import ExponentMap, em_delta, em_empty
+from .abelian import ExponentMap, em_empty
 from .convert import DefiningConversion, RuleError, defining_conversion
 from .model import (
+    MAX_MEMO_IDENTIFIERS,
     Dimension,
     EvaluatedUnit,
     NormalizedUnit,
@@ -100,15 +102,13 @@ def _normalize(text: str) -> str:
 # with no further precedence. The '1' atom is the empty product, needed
 # to write dimensionless rows and empty replacements.
 
-# Limits on expression text, checked while parsing: the parser recurses
-# once per parenthesis level, and an exponent literal is read as an int.
+# Limits on expression text, checked while parsing: the parser stacks
+# one entry per open parenthesis, and an exponent literal is read as an int.
 MAX_UNIT_NESTING = 100
 MAX_UNIT_EXPONENT = 10**9
 
-# Bounds on a system's memo of resolved identifiers, which untrusted text
-# fills: at most this many entries (the memo is emptied when full), each
-# for an identifier of at most this many characters.
-MAX_MEMO_IDENTIFIERS = 4096
+# A system's memo of resolved identifiers keeps identifiers of at most
+# this many characters, and at most MAX_MEMO_IDENTIFIERS of them.
 MAX_MEMO_IDENTIFIER_LEN = 32
 
 # Largest registry file read, in bytes; the bundled si and uk take 1509.
@@ -153,7 +153,8 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-Resolver = Callable[[str, int], ExponentMap]
+# Turns an identifier token, given its position, into the generator it names.
+Resolver = Callable[[str, int], Any]
 
 
 def _exponent(text: str, position: int) -> int:
@@ -164,91 +165,62 @@ def _exponent(text: str, position: int) -> int:
     return int(text)
 
 
-class _ExpressionParser:
-    """Recursive-descent parser over the grammar above.
+def _parse_expression(expression: str, resolver: Resolver) -> ExponentMap:
+    """Parse expression text over the grammar above, in one loop over its tokens.
 
-    The resolver turns one identifier token into a group element, which
-    is what lets the same grammar serve unit expressions (identifiers
+    The resolver turns one identifier token into a generator, which is
+    what lets the same grammar serve unit expressions (identifiers
     resolve to prefixed base units) and dimension expressions
-    (identifiers are taken as dimension symbols). Each element's
-    (generator, exponent) pairs go onto one list: `/` negates the slice
-    its term appended, `^n` scales the slice its atom appended, and
-    `parse` builds one map at the end, so parsing is linear in the text.
+    (identifiers are taken as dimension symbols). Each generator goes
+    onto one list of (generator, exponent) pairs. A term's pairs form
+    the slice from where it starts; when it ends, the slice is scaled
+    by its `^n` and negated after a `/`. A `(` opens a term whose slice
+    outlasts the inner expression, so the loop stacks the start and sign
+    of each open one. One map is built at the end, so parsing is linear
+    in the text. The whole text is tokenized first.
     """
-
-    def __init__(self, tokens: list[_Token], resolver: Resolver):
-        self._tokens = tokens
-        self._index = 0
-        self._depth = 0
-        self._resolver = resolver
-        self._pairs: list[tuple[Any, int]] = []
-
-    def _peek(self) -> _Token:
-        return self._tokens[self._index]
-
-    def _advance(self) -> _Token:
-        token = self._tokens[self._index]
-        self._index += 1
-        return token
-
-    def _expect(self, kind: str) -> _Token:
-        found, text, position = self._peek()
-        if found != kind:
-            raise UnitSyntaxError(f"expected {kind!r}, found {text or 'end of input'!r}", position)
-        return self._advance()
-
-    def _scale(self, start: int, exponent: int) -> None:
-        self._pairs[start:] = [(generator, z * exponent) for generator, z in self._pairs[start:]]
-
-    def parse(self) -> ExponentMap:
-        self._expression()
-        kind, text, position = self._peek()
-        if kind != "end":
-            raise UnitSyntaxError(f"unexpected trailing input {text!r}", position)
-        return ExponentMap(self._pairs)
-
-    def _expression(self) -> None:
-        self._term()
-        while self._peek()[0] in ("*", "/"):
-            op = self._advance()[0]
-            start = len(self._pairs)
-            self._term()
-            if op == "/":
-                self._scale(start, -1)
-
-    def _term(self) -> None:
-        start = len(self._pairs)
-        self._atom()
-        if self._peek()[0] == "^":
-            self._advance()
-            _, text, position = self._expect("number")
-            self._scale(start, _exponent(text, position))
-
-    def _atom(self) -> None:
-        kind, text, position = self._peek()
-        if kind == "ident":
-            self._advance()
-            self._pairs.extend(self._resolver(text, position).items())
-        elif kind == "(":
-            if self._depth == MAX_UNIT_NESTING:
+    tokens = _tokenize(_normalize(expression))
+    pairs: list[tuple[Any, int]] = []
+    open_terms: list[tuple[int, int]] = []  # (start, sign) of each term opened by '('
+    start, sign, index = 0, 1, 0
+    while True:
+        kind, text, position = tokens[index]
+        index += 1
+        if kind == "(":
+            if len(open_terms) == MAX_UNIT_NESTING:
                 raise UnitSyntaxError(
                     f"parentheses nest deeper than MAX_UNIT_NESTING = {MAX_UNIT_NESTING}", position
                 )
-            self._advance()
-            self._depth += 1
-            self._expression()
-            self._depth -= 1
-            self._expect(")")
-        elif kind == "number" and text == "1":
-            self._advance()
-        else:
-            raise UnitSyntaxError(
-                f"expected a symbol, '(' or 1, found {text or 'end of input'!r}", position
-            )
-
-
-def _parse_expression(text: str, resolver: Resolver) -> ExponentMap:
-    return _ExpressionParser(_tokenize(_normalize(text)), resolver).parse()
+            open_terms.append((start, sign))
+            start, sign = len(pairs), 1
+            continue
+        if kind == "ident":
+            pairs.append((resolver(text, position), 1))
+        elif kind != "number" or text != "1":
+            raise UnitSyntaxError(f"expected a symbol, '(' or 1, found {text or 'end of input'!r}", position)
+        # An atom is complete: end its term, and each term that a ')' then closes.
+        while True:
+            kind, text, position = tokens[index]
+            index += 1
+            if kind == "^":
+                kind, text, position = tokens[index]
+                if kind != "number":
+                    raise UnitSyntaxError(f"expected 'number', found {text or 'end of input'!r}", position)
+                sign *= _exponent(text, position)
+                kind, text, position = tokens[index + 1]
+                index += 2
+            if sign != 1:
+                pairs[start:] = [(generator, z * sign) for generator, z in pairs[start:]]
+            if kind == "*" or kind == "/":
+                start, sign = len(pairs), 1 if kind == "*" else -1
+                break
+            if not open_terms:
+                if kind != "end":
+                    raise UnitSyntaxError(f"unexpected trailing input {text!r}", position)
+                return ExponentMap(pairs)
+            if kind != ")":
+                raise UnitSyntaxError(f"expected ')', found {text or 'end of input'!r}", position)
+            start, sign = open_terms.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +300,8 @@ def _resolve_greedy(system: UnitSystem, text: str) -> Optional[PreUnit]:
     return None
 
 
-def _resolve_identifier(system: UnitSystem, text: str, position: int = 0) -> Unit:
-    """The one-factor unit an identifier names, through the system's memo.
+def _resolve_identifier(system: UnitSystem, text: str, position: int = 0) -> PreUnit:
+    """The prefixed base unit an identifier names, through the system's memo.
 
     Only successful resolutions of identifiers up to
     MAX_MEMO_IDENTIFIER_LEN characters are kept, so an unknown
@@ -350,7 +322,7 @@ def _resolve_identifier(system: UnitSystem, text: str, position: int = 0) -> Uni
             if len(memo) >= MAX_MEMO_IDENTIFIERS:
                 memo.clear()
             memo[text] = preunit
-    return em_delta(preunit)
+    return preunit
 
 
 def parse_unit(system: UnitSystem, text: str) -> Unit:
@@ -363,7 +335,7 @@ def parse_unit(system: UnitSystem, text: str) -> Unit:
     NFKC-normalized first, so e.g. the micro sign and the ohm sign match
     their Greek-letter registry spellings.
     """
-    return _parse_expression(text, lambda ident, pos: _resolve_identifier(system, ident, pos))
+    return _parse_expression(text, partial(_resolve_identifier, system))
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +361,7 @@ def print_dimension(dimension: Dimension) -> str:
 
 def _resolves_to(system: UnitSystem, text: str, preunit: PreUnit) -> bool:
     try:
-        return _resolve_identifier(system, text) == em_delta(preunit)
+        return _resolve_identifier(system, text) == preunit
     except UnitSyntaxError:
         return False
 
@@ -514,7 +486,7 @@ def parse_document(text: str) -> RegistryDocument:
             seen["units"].add(symbol)
             expression = line[len(fields[0]):].strip()
             try:
-                dimension = _parse_expression(expression, lambda ident, pos: em_delta(ident))
+                dimension = _parse_expression(expression, lambda ident, pos: ident)
             except UnitSyntaxError as error:
                 raise RegistryError(f"bad dimension expression: {error}", number) from None
             units.append(_UnitEntry(symbol, dimension, number))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import reduce
+from typing import Any, Callable
 
 from unical import (
     ExponentMap,
@@ -20,6 +21,7 @@ from unical import (
     rwr_eval,
     val,
 )
+from unical.registry import MAX_UNIT_NESTING, UnitSyntaxError, _exponent, _normalize, _Token, _tokenize
 
 TEST_PREFIXES = {
     "p2": Fraction(2),
@@ -213,3 +215,97 @@ def exhaust(system, conversion, unit, bound):
     for _ in range(bound):
         result = rwr_eval(system, conversion, result)
     return result
+
+
+# The recursive-descent parser that `registry._parse_expression` replaced,
+# kept as the reference it is tested against. Its resolver returns the
+# group element an identifier names, not the bare generator.
+Resolver = Callable[[str, int], ExponentMap]
+
+
+class _ExpressionParser:
+    """Recursive-descent parser over the grammar in `unical.registry`.
+
+    The resolver turns one identifier token into a group element, which
+    is what lets the same grammar serve unit expressions (identifiers
+    resolve to prefixed base units) and dimension expressions
+    (identifiers are taken as dimension symbols). Each element's
+    (generator, exponent) pairs go onto one list: `/` negates the slice
+    its term appended, `^n` scales the slice its atom appended, and
+    `parse` builds one map at the end, so parsing is linear in the text.
+    """
+
+    def __init__(self, tokens: list[_Token], resolver: Resolver):
+        self._tokens = tokens
+        self._index = 0
+        self._depth = 0
+        self._resolver = resolver
+        self._pairs: list[tuple[Any, int]] = []
+
+    def _peek(self) -> _Token:
+        return self._tokens[self._index]
+
+    def _advance(self) -> _Token:
+        token = self._tokens[self._index]
+        self._index += 1
+        return token
+
+    def _expect(self, kind: str) -> _Token:
+        found, text, position = self._peek()
+        if found != kind:
+            raise UnitSyntaxError(f"expected {kind!r}, found {text or 'end of input'!r}", position)
+        return self._advance()
+
+    def _scale(self, start: int, exponent: int) -> None:
+        self._pairs[start:] = [(generator, z * exponent) for generator, z in self._pairs[start:]]
+
+    def parse(self) -> ExponentMap:
+        self._expression()
+        kind, text, position = self._peek()
+        if kind != "end":
+            raise UnitSyntaxError(f"unexpected trailing input {text!r}", position)
+        return ExponentMap(self._pairs)
+
+    def _expression(self) -> None:
+        self._term()
+        while self._peek()[0] in ("*", "/"):
+            op = self._advance()[0]
+            start = len(self._pairs)
+            self._term()
+            if op == "/":
+                self._scale(start, -1)
+
+    def _term(self) -> None:
+        start = len(self._pairs)
+        self._atom()
+        if self._peek()[0] == "^":
+            self._advance()
+            _, text, position = self._expect("number")
+            self._scale(start, _exponent(text, position))
+
+    def _atom(self) -> None:
+        kind, text, position = self._peek()
+        if kind == "ident":
+            self._advance()
+            self._pairs.extend(self._resolver(text, position).items())
+        elif kind == "(":
+            if self._depth == MAX_UNIT_NESTING:
+                raise UnitSyntaxError(
+                    f"parentheses nest deeper than MAX_UNIT_NESTING = {MAX_UNIT_NESTING}", position
+                )
+            self._advance()
+            self._depth += 1
+            self._expression()
+            self._depth -= 1
+            self._expect(")")
+        elif kind == "number" and text == "1":
+            self._advance()
+        else:
+            raise UnitSyntaxError(
+                f"expected a symbol, '(' or 1, found {text or 'end of input'!r}", position
+            )
+
+
+def reference_parse(text, resolver):
+    """Parse expression text as the recursive-descent parser does."""
+    return _ExpressionParser(_tokenize(_normalize(text)), resolver).parse()

@@ -1,5 +1,6 @@
 import operator
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -758,3 +759,148 @@ def test_rwr_star_and_convert_merge_prefixes_of_equal_value(rng):
     expanded_target = exhaust(system, rules, target, bound)
     expected = expanded.factor / expanded_target.factor if expanded.root == expanded_target.root else None
     assert convert(system, rules, source, target) == expected
+
+
+# The module, not the function the package exports under the same name.
+CONVERT_MODULE = sys.modules["unical.convert"]
+
+
+def _memo(rules):
+    return rules._compiled[3]
+
+
+def as_preunit_of(system, text):
+    (preunit, _), = parse_unit(system, text).items()
+    return preunit
+
+
+def _memo_outcomes(system, rules, unit, other, fresh):
+    """What rwr_star, and convert with `unit` on either side of `other`, give or raise.
+
+    With `fresh`, each call gets a newly built copy of the rules, so
+    `unit` is expanded without the memo, except in convert(other, unit),
+    where `other` may have filled it.
+    """
+    results = []
+    for call in (
+        lambda rules: rwr_star(system, rules, unit),
+        lambda rules: convert(system, rules, unit, other),
+        lambda rules: convert(system, rules, other, unit),
+    ):
+        try:
+            results.append(call(DefiningConversion(dict(rules.rules)) if fresh else rules))
+        except Exception as error:
+            results.append((type(error), str(error)))
+    return results
+
+
+def assert_the_memo_changes_nothing(system, rules, cases):
+    """`rules`, warmed by every case before, gives what fresh rules give, before and after the case fills the memo."""
+    for unit, other in cases:
+        expected = _memo_outcomes(system, rules, unit, other, fresh=True)
+        for _ in range(2):
+            assert _memo_outcomes(system, rules, unit, other, fresh=False) == expected, (unit, other)
+
+
+def assert_the_memo_holds_only_checked_unrefused_factors(system, rules):
+    refused = rules._compiled[2]
+    for preunit in _memo(rules):
+        assert isinstance(preunit, PreUnit) and preunit.base in system.base_units, preunit
+        assert preunit.base not in refused, preunit
+        assert all(symbol in system.base_prefixes for symbol in preunit.prefix), preunit
+
+
+@given(st.randoms(use_true_random=False))
+def test_a_warm_factor_memo_agrees_with_fresh_rules_on_random_chains(rng):
+    base_count = rng.randint(2, 6)
+    chain, chain_rules, bases = random_chain_system(rng, base_count, rng.randint(1, base_count - 1), 0.5)
+    system = UnitSystem(chain.base_dimensions, {**chain.base_prefixes, "q2": Fraction(2)}, chain.base_units)
+    rules = defining_conversion(system, chain_rules.rules)
+    bound = analyze(system, rules).iteration_bound
+    cases = []
+    for _ in range(6):
+        unit = random_unit(rng, system)
+        # Each factor of `shared` is memoised, or over the bound alone, and
+        # their sum of |exponent| * bits is past MAX_RATIO_BITS at the
+        # larger powers, so the unit takes the exact walk, where p2 and q2
+        # cancel: `shared` converts to `bases`.
+        power = rng.choice([1, 3, 3000, 5000, 20000])
+        left, right = rng.choice(bases), rng.choice(bases)
+        shared, shared_bases = rng.choice([
+            (unit_of((left, 1, {"p2": power}), (right, 1, {"q2": -power})), unit_of((left, 1), (right, 1))),
+            (unit_of((left, power, {"p2": 1}), (left, -power, {"q2": 1})), em_empty()),
+        ])
+        cases += [(unit, random_unit(rng, system)), (em_mul(unit, shared), rng.choice([unit, strip(unit)]))]
+        assert convert(system, rules, em_mul(unit, shared), em_mul(unit, shared_bases)) == 1
+    assert_the_memo_changes_nothing(system, rules, cases)
+    assert_the_memo_holds_only_checked_unrefused_factors(system, rules)
+    for unit, _ in cases:
+        try:
+            expanded, reference = rwr_star(system, rules, unit), exhaust(system, rules, unit, bound)
+        except RatioError:  # the bounds differ: on whole normal forms, and per pass
+            continue
+        assert expanded == reference
+
+
+def test_a_warm_factor_memo_agrees_with_fresh_rules_on_si_uk():
+    # Loaded here, not shared, so that the memo starts empty.
+    system, rules = load_registry(bundled_registry("si"), bundled_registry("uk"))
+    rng = random.Random(13)
+    cases = [(random_unit(rng, system), random_unit(rng, system)) for _ in range(150)]
+    cases += [(unit, strip(unit)) for unit, _ in cases[:50]]
+    texts = [
+        ("lb^538", "g^538"), ("lb^539", "g^539"), ("Ym^175", "m^175"), ("Ym^176", "m^176"),
+        ("Ym^176*lb^539", "m^176*g^539"), ("lb^269*m^0", "lb^-269"), ("g_n^700", "lbf^700"), ("km^3000/m^3000", "1"),
+    ]
+    cases += [(parse_unit(system, source), parse_unit(system, target)) for source, target in texts]
+    odd = PreUnit(("k",), "m")
+    malformed = [
+        ExponentMap({"m": 1}),
+        bare("qq"),
+        unit_of(("m", 1, {"qq": 1})),
+        unit_of(("g", 1, {"qq": 1}), ("zz", 1)),
+        ExponentMap({odd: 1}),
+        ExponentMap({odd: 1, PreUnit(em_empty(), "qq"): 1}),
+        ExponentMap({odd: 1, PreUnit(ExponentMap({"k": 1}), "g"): -1}),
+    ]
+    cases += [(unit, parse_unit(system, "km")) for unit in malformed]
+    assert_the_memo_changes_nothing(system, rules, cases + cases[::-1])
+    assert_the_memo_holds_only_checked_unrefused_factors(system, rules)
+    memo = _memo(rules)
+    assert as_preunit_of(system, "lb") in memo and as_preunit_of(system, "Ym") in memo
+    for unknown in (PreUnit(em_empty(), "qq"), PreUnit(ExponentMap({"qq": 1}), "m"), odd):
+        assert unknown not in memo
+
+
+def test_a_warm_factor_memo_agrees_with_fresh_rules_on_a_refused_normal_form():
+    system, rules = load_registry(bundled_registry("si"), OVERSIZED_EXTRA)
+    texts = ["y", "w", "y*x", "x*w^-2", "N^1401*y", "y*v", "Ym^176*y", "k_y*y^-1", "k_x*z", "x^3", "m*w^0"]
+    units = [parse_unit(system, text) for text in texts]
+    assert_the_memo_changes_nothing(system, rules, [(unit, other) for unit in units for other in units[-3:]])
+    assert_the_memo_holds_only_checked_unrefused_factors(system, rules)
+    memo = _memo(rules)
+    assert {"v", "w", "y"} <= set(rules._compiled[2])
+    assert as_preunit_of(system, "k_x") in memo and as_preunit_of(system, "z") in memo
+    assert not any(preunit.base in ("v", "w", "y") for preunit in memo)
+
+
+def test_the_factor_memo_starts_after_the_table_is_built():
+    # `y`'s replacement names `x` twice, cancelling out, so `y` does not
+    # depend on `x`, and it is compiled before `x` has its form.
+    system, rules = load_registry(bundled_registry("si"), "[units]\nx L\ny L\n[rules]\nx 2 m\ny 1 k_x*x^-1*m\n")
+    for _ in range(2):
+        assert convert(system, rules, parse_unit(system, "y"), parse_unit(system, "m")) == 1000
+        assert convert(system, rules, parse_unit(system, "k_x*x"), parse_unit(system, "m^2")) == 4000
+
+
+def test_the_factor_memo_never_exceeds_its_entry_cap(monkeypatch):
+    monkeypatch.setattr(CONVERT_MODULE, "MAX_MEMO_IDENTIFIERS", 5)
+    system, rules = load_registry(bundled_registry("si"))
+    metre = parse_unit(system, "m")
+    for prefix in sorted(system.base_prefixes):
+        for base in ("m", "g", "s"):
+            unit = unit_of((base, 1, {prefix: 1}))
+            expected = evaluate(system, unit).factor if base == "m" else None
+            assert convert(system, rules, unit, metre) == expected
+            memo = _memo(rules)
+            assert len(memo) <= 5 and PreUnit(ExponentMap({prefix: 1}), base) in memo

@@ -3,7 +3,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unical import (
@@ -38,8 +38,8 @@ from unical import (
     read_registry,
 )
 from unical import registry
-from unical.registry import MAX_MEMO_IDENTIFIER_LEN, MAX_REGISTRY_BYTES, _resolve_identifier
-from support import as_preunit, bare, random_unit, unit_of
+from unical.registry import MAX_MEMO_IDENTIFIER_LEN, MAX_REGISTRY_BYTES, _parse_expression, _resolve_identifier
+from support import as_preunit, bare, random_unit, reference_parse, unit_of
 
 SI, SI_RULES = load_registry(bundled_registry("si"))
 
@@ -413,7 +413,7 @@ def test_identifier_resolution_matches_sorted_scan(text):
     SIUK._resolved.pop(text, None)
     for _ in range(2):  # the second call reads the memo
         try:
-            resolved = _resolve_identifier(SIUK, text)
+            resolved = em_delta(_resolve_identifier(SIUK, text))
         except UnknownIdentifierError:
             resolved = None
         assert resolved == expected
@@ -511,7 +511,7 @@ def render_tree(tree):
 
 def fold_tree(tree):
     if isinstance(tree, str):
-        return em_empty() if tree == "1" else _resolve_identifier(SI, tree)
+        return em_empty() if tree == "1" else em_delta(_resolve_identifier(SI, tree))
     if tree[0] == "()":
         return fold_tree(tree[1])
     if tree[0] == "^":
@@ -523,3 +523,66 @@ def fold_tree(tree):
 @given(EXPRESSION_TREES)
 def test_parse_equals_the_fold_of_group_operations(tree):
     assert parse_unit(SI, render_tree(tree)[0]) == fold_tree(tree)
+
+
+# Pieces of expression text: identifiers (known, unknown, explicit, with
+# exponents), `1` and other numbers, operators, parentheses in runs up to
+# and past MAX_UNIT_NESTING, stray characters, and exponents at the bound.
+PARSER_PIECES = [
+    "m", "km", "kg", "lb", "g_n", "µ_k_g", "d^3_m", "qq", "L", "T", "1", "0", "2", "01", "-1", "-",
+    "*", "/", "^", "(", ")", " ", "#", "_", "é", "\u00b5m", "^2", "^-1", "^0",
+    "(" * MAX_UNIT_NESTING, ")" * MAX_UNIT_NESTING, "(" * (MAX_UNIT_NESTING + 1),
+    *(f"^{sign}{MAX_UNIT_EXPONENT + delta}" for sign in ("", "-") for delta in (-1, 0, 1)),
+]
+
+
+def _parse_outcome(parse):
+    try:
+        return parse()
+    except UnitSyntaxError as error:
+        return type(error), str(error), error.position
+
+
+PARSER_TEXTS = st.one_of(
+    st.lists(st.sampled_from(PARSER_PIECES), max_size=14).map("".join),
+    # A well-formed expression with one piece inserted somewhere, or none.
+    st.tuples(
+        EXPRESSION_TREES.map(lambda tree: render_tree(tree)[0]),
+        st.sampled_from(PARSER_PIECES + [""]),
+        st.integers(0, 60),
+    ).map(lambda parts: parts[0][: parts[2]] + parts[1] + parts[0][parts[2] :]),
+)
+
+
+def assert_the_parsers_agree(text):
+    # parse_unit on si+uk, whose identifier memo fills as it goes.
+    assert _parse_outcome(lambda: parse_unit(SIUK, text)) == _parse_outcome(
+        lambda: reference_parse(text, lambda ident, position: em_delta(_resolve_identifier(SIUK, ident, position)))
+    )
+    # The resolver parse_document passes for dimension expressions.
+    assert _parse_outcome(lambda: _parse_expression(text, lambda ident, position: ident)) == _parse_outcome(
+        lambda: reference_parse(text, lambda ident, position: em_delta(ident))
+    )
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "", "m*", "*m", "m^", "m^x", "(m", "m)", "(m))", "((m)", "2*m", "m**s", "m^2^3", "(m^2^3)", "m^-",
+        "()", "(m)^2)", "m/(s", "1/1^2", "(1)(m)", "m^2 s", "qq/(m", "(m*qq^x", "m^#",
+        "(" * MAX_UNIT_NESTING + "m" + ")" * MAX_UNIT_NESTING + "^2",
+        "(" * (MAX_UNIT_NESTING + 1) + "m" + ")" * (MAX_UNIT_NESTING + 1),
+        "(" * MAX_UNIT_NESTING + "m" + ")" * (MAX_UNIT_NESTING - 1),
+        f"(km/s)^{MAX_UNIT_EXPONENT + 1}*qq",
+        f"(km/s)^-{MAX_UNIT_EXPONENT}/m^{MAX_UNIT_EXPONENT - 1}",
+        "(m*(s/kg)^-2)/(1/lb)^3",
+    ],
+)
+def test_the_one_loop_parser_matches_the_recursive_descent_reference_on_examples(text):
+    assert_the_parsers_agree(text)
+
+
+@settings(max_examples=300)
+@given(PARSER_TEXTS)
+def test_the_one_loop_parser_matches_the_recursive_descent_reference(text):
+    assert_the_parsers_agree(text)

@@ -1,5 +1,8 @@
 import importlib
+import os
+import re
 import runpy
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -84,3 +87,17 @@ def test_benchmark_hooks_still_resolve():
         assert callable(getattr(importlib.import_module(module), attribute)), (module, attribute)
     # The benchmark's classify worker passes these keywords.
     assert classify(SI, SI_RULES, max_steps=3, max_word=5).consistency == "guaranteed"
+
+
+def test_outcome_digest_prints_the_same_digest_twice():
+    command = [sys.executable, str(SCRIPTS / "outcome_digest.py"), "--pool-size", "200", "--random", "300"]
+    # Two processes, each with its own string-hash seed.
+    runs = [
+        subprocess.run(
+            command, capture_output=True, text=True, timeout=120, check=True,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": seed},
+        )
+        for seed in ("1", "2")
+    ]
+    assert runs[0].stdout == runs[1].stdout and not runs[0].stderr
+    assert re.fullmatch(r"outcomes: [1-9][0-9]*\nsha256: [0-9a-f]{64}\n", runs[0].stdout)
