@@ -1,17 +1,24 @@
 #!/usr/bin/env python3
-"""Digest every outcome of unit text through parse_unit, rwr_star and convert.
+"""Digest every outcome of unit text through rwr_star and convert, and of rule sets through classify.
 
 Each case is unit text parsed with `parse_unit` and fully expanded with
-`rwr_star`, or a pair of texts parsed and converted with `convert`. Its
-outcome is the result, or the exception's type and message, whichever
-step raised it. The script prints the number of outcomes and the SHA-256
-of all of them, in order, so two versions of the library that print the
-same digest gave the same answer, or the same refusal, in every case.
+`rwr_star`; a pair of texts parsed and converted with `convert`; or a
+rule set, loaded from registry text or given as a mapping, classified
+with `classify`. Its outcome is the result (every field of a
+classification report), or the exception's type and message, whichever
+step raised it. The script prints the number of outcomes and the
+SHA-256 of all of them, in order, so two versions of the library that
+print the same digest gave the same answer, or the same refusal, in
+every case.
 
-The cases are the benchmark's `convert_mix` query pools (from
+The unit cases are the benchmark's `convert_mix` query pools (from
 `bench/gen.py`, seeds 1-3) over si+uk; texts at the documented bounds;
 malformed texts; texts reaching a normal form too large to compile; and
-seeded random texts over si and over si+uk.
+seeded random texts over si and over si+uk. The rule-set cases are the
+benchmark's `classify_cycles` registries (seeds 1-3); the bundled and
+boundary registries; and seeded random cyclic mappings from
+`tests/support.py`, consistent, inconsistent and changing dimension,
+each classified as a mapping and as a DefiningConversion.
 
     PYTHONPATH=src python3 scripts/outcome_digest.py [--pool-size N] [--random N]
 """
@@ -20,14 +27,28 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import random
 import runpy
 from fractions import Fraction
 from pathlib import Path
 
-from unical import EvaluatedUnit, bundled_registry, convert, load_registry, parse_unit, rwr_star
+from unical import (
+    ClassificationReport,
+    ConvTriple,
+    DefiningConversion,
+    EvaluatedUnit,
+    bundled_registry,
+    classify,
+    convert,
+    load_registry,
+    parse_unit,
+    rwr_star,
+)
 
-GEN = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+ROOT = Path(__file__).resolve().parents[1]
+GEN = ROOT / "bench" / "gen.py"
+SUPPORT = ROOT / "tests" / "support.py"
 
 BOUNDARY_TEXTS = [
     ("lb^538", "g^538"), ("lb^539", "g^539"), ("Ym^175", "m^175"), ("Ym^176", "m^176"),
@@ -39,6 +60,15 @@ BOUNDARY_TEXTS = [
 # `y` has a normal form past MAX_RATIO_BITS, so only units that reach it are refused.
 OVERSIZED = "[units]\nx L\ny L\n[rules]\nx 2 m\ny 1 x^20000*m^-19999\n"
 OVERSIZED_TEXTS = [("y", "m"), ("x*y", "m^2"), ("k_y*y^-1", "1"), ("x^3", "m^3"), ("y^0*x", "m")]
+
+# `x`'s replacement has a prefix value past MAX_RATIO_BITS: it loads, and
+# is refused only where its value is needed, as in a cycle through it.
+DEFERRED = "[units]\nx L^600\n[rules]\nx 1 Ym^600\n"
+# Extra registry texts loaded over si, then classified.
+REGISTRY_EXTRAS = [
+    (), ("uk",), (OVERSIZED,), (DEFERRED,), ("[rules]\ns 2 Hz^-1\n",), ("[rules]\ns 1 Hz^-1\n",),
+    ("[rules]\nm 1 s\nA 1 m\n",), ("[units]\nx L^600\n[rules]\nx 1 Ym^600\nm 1 x\n",),
+]
 
 SYMBOLS = ["m", "g", "s", "A", "K", "N", "J", "W", "Hz", "Ω", "lb", "lbf", "pt", "g_n", "qq"]
 PREFIXES = ["", "", "", "k", "m", "µ", "Y", "Gi", "k_", "d^3_", "h^-2_", "kk"]
@@ -52,6 +82,10 @@ def describe(result) -> str:
         return f"{describe(result.factor)} {result.root!r}"
     if isinstance(result, Fraction):
         return f"{result.numerator:x}/{result.denominator:x}"
+    if isinstance(result, ConvTriple):
+        return f"{result.source!r} {describe(result.ratio)} {result.target!r}"
+    if isinstance(result, ClassificationReport):
+        return ", ".join(f"{name}={describe(getattr(result, name))}" for name in result._fields)
     return repr(result)
 
 
@@ -96,12 +130,36 @@ def outcomes(system, rules, pairs):
         )
 
 
+def classify_outcomes(registries, mappings):
+    """The outcomes of loading and classifying each registry text, then of classifying each mapping two ways."""
+    for index, texts in enumerate(registries):
+        yield f"classify registry {index}: " + outcome(lambda: classify(*load_registry(*texts)))
+    for index, (system, rules) in enumerate(mappings):
+        yield f"classify mapping {index}: " + outcome(lambda: classify(system, rules))
+        yield f"classify conversion {index}: " + outcome(lambda: classify(system, DefiningConversion(rules)))
+
+
+def rule_mappings(rng: random.Random, count: int) -> list:
+    """A cycle through DEFERRED's `x`, then `count` seeded random cyclic mappings."""
+    system, rules = load_registry(bundled_registry("si"), DEFERRED)
+    mappings = [(system, {**rules.rules, "m": (Fraction(1), parse_unit(system, "x"))})]
+    random_cyclic_rules = runpy.run_path(str(SUPPORT))["random_cyclic_rules"]
+    for index in range(count):
+        consistent, changing_dimension = index % 3 == 0, index % 3 == 2
+        system, rules, _ = random_cyclic_rules(rng, consistent, 0.5, changing_dimension)
+        mappings.append((system, rules))
+    return mappings
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pool-size", type=int, default=4096, help="queries per convert_mix pool")
-    parser.add_argument("--random", type=int, default=4000, help="random text pairs per registry set")
+    parser.add_argument(
+        "--random", type=int, default=4000, help="random text pairs per registry set, and random rule mappings"
+    )
     args = parser.parse_args()
-    convert_pool = runpy.run_path(str(GEN))["convert_pool"]
+    gen = runpy.run_path(str(GEN))
+    convert_pool, cycle_blocks = gen["convert_pool"], gen["cycle_blocks"]
     si = bundled_registry("si")
     siuk = load_registry(si, bundled_registry("uk"))
     pools = [
@@ -113,12 +171,15 @@ def main() -> None:
         (load_registry(si), random_texts(rng, args.random)),
         (load_registry(si, OVERSIZED), OVERSIZED_TEXTS + BOUNDARY_TEXTS),
     ]
+    registries = [(si, *(bundled_registry(t) if t == "uk" else t for t in extra)) for extra in REGISTRY_EXTRAS]
+    registries += [(case["registry"],) for seed in (1, 2, 3) for block in cycle_blocks(seed) for case in block]
+    streams = [outcomes(system, rules, pairs) for (system, rules), pairs in cases]
+    streams.append(classify_outcomes(registries, rule_mappings(random.Random(1), args.random)))
     digest = hashlib.sha256()
     count = 0
-    for (system, rules), pairs in cases:
-        for line in outcomes(system, rules, pairs):
-            digest.update(line.encode("utf-8") + b"\n")
-            count += 1
+    for line in itertools.chain.from_iterable(streams):
+        digest.update(line.encode("utf-8") + b"\n")
+        count += 1
     print(f"outcomes: {count}")
     print(f"sha256: {digest.hexdigest()}")
 

@@ -112,18 +112,18 @@ class DefiningConversion(Immutable):
     """Validated rule set: base-unit symbol -> (ratio, replacement unit).
 
     Build these through `defining_conversion`, which checks the shape;
-    the constructor itself only freezes the mapping. The normal-form
-    table that `rwr_star` and `convert` use is compiled on first use and
-    kept in `_compiled`, together with the unit system it was compiled
-    against, the refused symbols, and a memo of expanded factors that
-    fills as units are expanded, holding at most MAX_MEMO_IDENTIFIERS
-    entries; equality, hashing and the repr leave it out.
+    the constructor itself only freezes the mapping. `_compiled` keeps
+    what the rules compile to against one unit system, matched by
+    identity: each rule's form, made as the rules are checked, and, built
+    from the forms on first conversion, the normal forms, the refused
+    symbols and a memo of expanded factors (at most MAX_MEMO_IDENTIFIERS
+    entries). Equality, hashing and the repr leave it out.
     """
 
     __slots__ = ("rules", "_compiled")
     _fields = ("rules",)
 
-    _compiled: Optional[tuple[UnitSystem, Mapping[str, _NormalForm], Mapping[str, str], dict[PreUnit, _Factor]]]
+    _compiled: Optional[_Compiled]
 
     def __init__(self, rules: Rules):
         object.__setattr__(self, "rules", MappingProxyType(dict(rules)))
@@ -140,35 +140,70 @@ class DefiningConversion(Immutable):
         ]
 
 
-def _as_ratio(value) -> Fraction:
-    if isinstance(value, int) and not isinstance(value, bool):
-        value = Fraction(value)
-    if not isinstance(value, Fraction) or value <= 0:
-        raise RuleError(f"not a positive rational ratio: {value!r}")
-    return value
+# A rule's form: its factor r = ratio * val(pref(replacement)), or the
+# error evaluating the replacement raised; root(replacement)'s pairs; and
+# whether the replacement has the base unit's dimension.
+_RuleForm = tuple[object, tuple[tuple[str, int], ...], bool]
 
 
-def _structural_rules(
-    system: UnitSystem, rules: Mapping[str, tuple]
-) -> tuple[dict[str, tuple[Fraction, Unit]], list[str]]:
-    """Check the shape of a rule mapping, in symbol order.
+class _Compiled:
+    __slots__ = ("system", "forms", "table", "refused", "memo")
 
-    Returns the checked rules and the bases, in symbol order, whose rule
-    changes dimension; whether that is an error is the caller's choice.
+    def __init__(self, system: UnitSystem, forms: dict[str, _RuleForm]):
+        self.system, self.forms = system, forms
+        self.table = self.refused = self.memo = None
+
+
+def _check_rule(system: UnitSystem, base: str, rule: tuple) -> tuple[tuple[Fraction, Unit], _RuleForm]:
+    """Check the shape of one rule and compile its form, raising as `dim` would.
+
+    An error evaluating the replacement, such as a prefix value past
+    MAX_RATIO_BITS, is kept in the form, for the callers that need it.
     """
-    checked: dict[str, tuple[Fraction, Unit]] = {}
-    changes_dimension: list[str] = []
-    for base in sorted(rules):
-        ratio, replacement = rules[base]
-        if base not in system.base_units:
-            raise UnknownSymbolError(f"rule rewrites unknown base unit {base!r}")
-        ratio = _as_ratio(ratio)
-        if not isinstance(replacement, ExponentMap):
-            raise RuleError(f"rule for {base!r} needs a unit replacement, got {replacement!r}")
-        if dim(system, replacement) != system.base_units[base]:
-            changes_dimension.append(base)
-        checked[base] = (ratio, replacement)
-    return checked, changes_dimension
+    ratio, replacement = rule
+    if base not in system.base_units:
+        raise UnknownSymbolError(f"rule rewrites unknown base unit {base!r}")
+    if isinstance(ratio, int) and not isinstance(ratio, bool):
+        ratio = Fraction(ratio)
+    if not isinstance(ratio, Fraction) or ratio <= 0:
+        raise RuleError(f"not a positive rational ratio: {ratio!r}")
+    if not isinstance(replacement, ExponentMap):
+        raise RuleError(f"rule for {base!r} needs a unit replacement, got {replacement!r}")
+    try:
+        numerator, denominator, pairs = _expand(system, {}, {}, None, replacement)
+        factor = Fraction(ratio.numerator * numerator, ratio.denominator * denominator)
+    except (RatioError, UnknownSymbolError, TypeError) as error:  # what `evaluate` raises
+        factor, pairs = error, root(replacement).items()
+    dimension: dict[str, int] = {}
+    for symbol, z in pairs:
+        if symbol not in system.base_units:
+            raise UnknownSymbolError(f"unknown base unit {symbol!r}")
+        for letter, e in system.base_units[symbol].items():
+            dimension[letter] = dimension.get(letter, 0) + e * z
+    keeps = tuple(sorted((d, e) for d, e in dimension.items() if e)) == system.base_units[base].items()
+    return (ratio, replacement), (factor, tuple(pairs), keeps)
+
+
+def _require_defining(base: str, form: _RuleForm) -> None:
+    if not form[2]:
+        raise RuleError(f"rule for {base!r} changes dimension")
+
+
+def _freeze(system: UnitSystem, checked: Mapping[str, tuple[tuple[Fraction, Unit], _RuleForm]]) -> DefiningConversion:
+    """The checked rules, in symbol order, with their forms compiled against `system`."""
+    ordered = sorted(checked.items())
+    conversion = DefiningConversion({base: rule for base, (rule, _) in ordered})
+    object.__setattr__(conversion, "_compiled", _Compiled(system, {base: form for base, (_, form) in ordered}))
+    return conversion
+
+
+def _compile(system: UnitSystem, conversion: DefiningConversion) -> _Compiled:
+    """The rules' forms against `system`, made on first use; rules are checked, but may change dimension."""
+    compiled, rules = conversion._compiled, conversion.rules
+    if compiled is None or compiled.system is not system:
+        compiled = _freeze(system, {base: _check_rule(system, base, rules[base]) for base in sorted(rules)})._compiled
+        object.__setattr__(conversion, "_compiled", compiled)
+    return compiled
 
 
 def defining_conversion(system: UnitSystem, rules: Mapping[str, tuple]) -> DefiningConversion:
@@ -176,12 +211,13 @@ def defining_conversion(system: UnitSystem, rules: Mapping[str, tuple]) -> Defin
 
     Each key must be a registered base-unit symbol, each value a pair of a
     positive ratio (int accepted) and a replacement unit over the system
-    with the same dimension as the base unit being rewritten.
+    with the same dimension as the base unit being rewritten. A value too
+    large to compute is refused only where it is needed.
     """
-    checked, changes_dimension = _structural_rules(system, rules)
-    if changes_dimension:
-        raise RuleError(f"rule for {changes_dimension[0]!r} changes dimension")
-    return DefiningConversion(checked)
+    checked = {base: _check_rule(system, base, rules[base]) for base in sorted(rules)}
+    for base, (_, form) in checked.items():
+        _require_defining(base, form)
+    return _freeze(system, checked)
 
 
 class DependencyReport(Immutable):
@@ -217,14 +253,7 @@ class DependencyReport(Immutable):
         return hash((self.well_founded, self.cycle_witness, depth, self.iteration_bound))
 
 
-def _direct_dependencies(conversion: DefiningConversion) -> dict[str, tuple[str, ...]]:
-    return {
-        base: tuple(sorted(root(replacement).support()))
-        for base, (_, replacement) in conversion.rules.items()
-    }
-
-
-def _walk(direct: Mapping[str, tuple[str, ...]]) -> tuple[Optional[tuple[str, ...]], list[str]]:
+def _walk(forms: Mapping[str, _RuleForm]) -> tuple[Optional[tuple[str, ...]], list[str]]:
     """Order the ruled symbols with graphlib, or name a cycle among them.
 
     Each rule's base is added as a predecessor of the ruled symbols its
@@ -235,11 +264,11 @@ def _walk(direct: Mapping[str, tuple[str, ...]]) -> tuple[Optional[tuple[str, ..
     before its dependencies; the reverse is the dependency post-order.
     """
     sorter = TopologicalSorter()
-    for base in sorted(direct):
+    for base in forms:  # in symbol order, as are each form's pairs
         sorter.add(base)
-    for base in sorted(direct):
-        for symbol in direct[base]:
-            if symbol in direct:
+    for base, (_, pairs, _) in forms.items():
+        for symbol, _ in pairs:
+            if symbol in forms:
                 sorter.add(symbol, base)
     try:
         order = list(sorter.static_order())
@@ -249,13 +278,14 @@ def _walk(direct: Mapping[str, tuple[str, ...]]) -> tuple[Optional[tuple[str, ..
 
 
 def analyze(system: UnitSystem, conversion: DefiningConversion) -> DependencyReport:
-    direct = _direct_dependencies(conversion)
-    cycle, order = _walk(direct)
+    """The dependency structure of the rules, read from their compiled forms."""
+    forms = _compile(system, conversion).forms
+    cycle, order = _walk(forms)
     depth: Optional[dict[str, int]] = None
     if cycle is None:
         depth = dict.fromkeys(system.base_units, 0)
         for symbol in order:
-            depth[symbol] = 1 + max((depth.get(s, 0) for s in direct[symbol]), default=0)
+            depth[symbol] = 1 + max((depth.get(s, 0) for s, _ in forms[symbol][1]), default=0)
     return DependencyReport(
         well_founded=cycle is None,
         cycle_witness=cycle,
@@ -287,10 +317,11 @@ def _power_product(powers: list[tuple[Fraction, int]], what: str) -> Fraction:
     cancellation between the ratios.
     """
     ratio_check_bits(sum(abs(z) * ratio_bits(r) for r, z in powers if r != 1), what)
-    product = ONE
+    numerator = denominator = 1
     for r, z in powers:
-        product *= r ** z
-    return product
+        numerator *= r.numerator**z if z > 0 else r.denominator**-z
+        denominator *= r.denominator**z if z > 0 else r.numerator**-z
+    return Fraction(numerator, denominator)
 
 
 def rwr_eval(system: UnitSystem, conversion: DefiningConversion, unit: EvaluatedUnit) -> EvaluatedUnit:
@@ -329,9 +360,8 @@ def _expand(
     """Evaluate a unit and substitute the table's normal forms, in one walk.
 
     Returns the factor's numerator and denominator, unreduced, and the
-    root's canonical pairs. Raises as `evaluate` then substitution would:
-    `_check_unit`'s errors, `val`'s bound, the first refused root symbol,
-    then the bound on the substituted powers, before any power is taken.
+    root's canonical pairs. Raises `_check_unit`'s errors, then as
+    `_substitute` does.
 
     Full expansion is a homomorphism, so each factor can be expanded on
     its own. While every factor is in `memo` and the sum of |exponent| *
@@ -379,11 +409,25 @@ def _expand(
         bases[preunit.base] = bases.get(preunit.base, 0) + z
         if memo is not None and preunit.base not in refused and preunit not in memo:
             _remember(system, table, memo, preunit)
-    ratio_check_bits(
-        sum(abs(e) * max(n.bit_length(), d.bit_length()) for (n, d), e in values.items()), "prefix value"
-    )
+    return _substitute(table, refused, values, bases)
+
+
+def _substitute(
+    table: Mapping[str, _NormalForm],
+    refused: Mapping[str, str],
+    values: dict[tuple[int, int], int],
+    bases: dict[str, int],
+) -> tuple[int, int, list[tuple[str, int]]]:
+    """Multiply out ratio powers ((numerator, denominator) -> exponent), substituting normal forms.
+
+    Before any power is taken, raises RatioError when the ratios' sum of
+    |exponent| * bits passes MAX_RATIO_BITS, then for the first refused
+    symbol, then when that sum plus sum |exponent| * bits over the
+    substituted forms passes it; so the result fits too.
+    """
+    bits = sum(abs(e) * max(n.bit_length(), d.bit_length()) for (n, d), e in values.items())
+    ratio_check_bits(bits, "prefix value")
     expanded: dict[str, int] = {}
-    bits = 0
     for base, z in sorted(bases.items()):
         if z and base in refused:
             raise RatioError(refused[base])
@@ -424,42 +468,41 @@ def _normal_forms(
     """The fully expanded form of every ruled symbol, compiled once.
 
     For well-founded rules full expansion is a group homomorphism of the
-    evaluated root, so each ruled symbol's normal form follows from its
-    rule and the normal forms of its dependencies, visited in dependency
-    post-order. Prefix values enter through the replacements, so the
-    table is kept for one unit system, matched by identity. A normal
-    form past MAX_RATIO_BITS is left out of the table; its symbol, and
-    every symbol that depends on it, maps instead to the refusal that a
-    conversion reaching it raises. Raises NotWellDefiningError on cyclic
-    rules. The memo of expanded factors starts empty: while the table is
-    built, a symbol that cancels out of a replacement may not have its
-    form yet.
+    evaluated root, so each ruled symbol's normal form is its rule's
+    form with its dependencies' normal forms substituted, visited in
+    dependency post-order, under `_substitute`'s bound. A normal form
+    past that bound, or whose rule factor is, is left out of the table;
+    its symbol, and every symbol that depends on it, maps instead to the
+    refusal that a conversion reaching it raises. Raises any other error
+    a rule's evaluation raised, and NotWellDefiningError on cyclic rules.
     """
-    compiled = conversion._compiled
-    if compiled is not None and compiled[0] is system:
-        return compiled[1:]
-    direct = _direct_dependencies(conversion)
-    cycle, order = _walk(direct)
+    compiled = _compile(system, conversion)
+    if compiled.table is not None:
+        return compiled.table, compiled.refused, compiled.memo
+    cycle, order = _walk(compiled.forms)
     if cycle is not None:
         raise NotWellDefiningError(cycle)
     table: dict[str, _NormalForm] = {}
     refused: dict[str, str] = {}
     for base in order:
-        reached = [refused[symbol] for symbol in direct[base] if symbol in refused]
+        factor, pairs, _ = compiled.forms[base]
+        reached = [refused[symbol] for symbol, _ in pairs if symbol in refused]
         if reached:
             refused[base] = reached[0]
             continue
-        ratio, replacement = xpd(system, conversion, base)
         try:
-            numerator, denominator, pairs = _expand(system, table, refused, None, replacement)
+            if isinstance(factor, Exception):
+                raise factor.with_traceback(None)
+            numerator, denominator, expanded = _substitute(
+                table, refused, {(factor.numerator, factor.denominator): 1}, dict(pairs)
+            )
         except RatioError:
             refused[base] = f"normal form of {base!r} is too large: over MAX_RATIO_BITS = {MAX_RATIO_BITS} bits"
             continue
-        factor = ratio * Fraction(numerator, denominator)
-        table[base] = ((factor.numerator, factor.denominator), 0 if factor == 1 else ratio_bits(factor), pairs)
-    memo: dict[PreUnit, _Factor] = {}
-    object.__setattr__(conversion, "_compiled", (system, table, refused, memo))
-    return table, refused, memo
+        factor = Fraction(numerator, denominator)
+        table[base] = ((factor.numerator, factor.denominator), 0 if factor == 1 else ratio_bits(factor), expanded)
+    compiled.table, compiled.refused, compiled.memo = table, refused, {}
+    return table, refused, compiled.memo
 
 
 def rwr_star(system: UnitSystem, conversion: DefiningConversion, unit: Unit) -> EvaluatedUnit:
@@ -484,11 +527,12 @@ def convert(
 
     Both units are fully expanded as by `rwr_star`; they are convertible
     exactly when the expanded roots coincide, and then source = factor *
-    target with factor the quotient of the expanded scale factors. Each
-    rule factor is raised to its unit exponent only after `val`'s bound,
-    sum |exponent| * bits(factor), is checked against MAX_RATIO_BITS;
-    past it RatioError is raised. Like `val`'s, the bound over-estimates,
-    so a few units whose factors would cancel are refused too. A factor
+    target with factor the quotient of the expanded scale factors. Before
+    any power is taken, each unit's factor is bounded by `val`'s bound on
+    its prefix values plus sum |exponent| * bits over the normal-form
+    factors substituted; past MAX_RATIO_BITS RatioError is raised. Like
+    `val`'s, the bound over-estimates, so a few units whose factors would
+    cancel are refused too. A factor
     met before, such as `km`, is expanded once per rule set and then read
     from a memo; the answers and the refusals are the same either way.
     """
@@ -723,7 +767,7 @@ def _relation_basis(vectors: list[dict[str, int]]) -> list[dict[int, int]]:
     return basis
 
 
-def _relation_witness(system: UnitSystem, conversion: DefiningConversion) -> Optional[ConvTriple]:
+def _relation_witness(forms: Mapping[str, _RuleForm]) -> Optional[ConvTriple]:
     """An inconsistency witness of a rule mapping, or None when there is none.
 
     Mapping a triple (s, r, t) to (r * f_t / f_s, root(s) - root(t)), with
@@ -742,11 +786,11 @@ def _relation_witness(system: UnitSystem, conversion: DefiningConversion) -> Opt
     """
     ratios: list[Fraction] = []
     vectors: list[dict[str, int]] = []
-    for base in sorted(conversion.rules):
-        ratio, replacement = xpd(system, conversion, base)
-        expanded = evaluate(system, replacement)
-        ratios.append(ratio * expanded.factor)
-        vector = {symbol: -z for symbol, z in expanded.root.items()}
+    for base, (factor, pairs, _) in forms.items():
+        if isinstance(factor, Exception):
+            raise factor.with_traceback(None)
+        ratios.append(factor)
+        vector = {symbol: -z for symbol, z in pairs}
         vector[base] = vector.get(base, 0) + 1
         vectors.append({symbol: z for symbol, z in vector.items() if z})
     for relation in _relation_basis(vectors):
@@ -808,25 +852,26 @@ def classify(
     exactly for every rule mapping, never by a closure search:
     well-founded rules are "guaranteed"; cyclic ones, with one cycle
     named in `cycle_witness`, are decided by the integer relations among
-    their evaluated rules, giving "witness_found" with a witness relating
-    the empty unit to itself at a ratio above one, or "guaranteed".
-    `max_steps` and `max_word` are unused, kept only for callers that
-    still pass them. Rule sets too broken to interpret at all (unknown
-    symbols, malformed ratios or replacements) raise instead, and so
-    does a cycle whose ratio product would need more than MAX_RATIO_BITS
-    bits (RatioError).
+    their rules' compiled forms, giving "witness_found" with a witness
+    relating the empty unit to itself at a ratio above one, or
+    "guaranteed". A DefiningConversion's own forms are read, and a
+    mapping's compiled here; `is_defining` is worked out either way, as
+    the constructor does not validate. `max_steps` and `max_word` are
+    unused, kept only for callers that still pass them. Rule sets too
+    broken to interpret at all (unknown symbols, malformed ratios or
+    replacements) raise instead, and so does a cycle whose rule values or
+    ratio product would need more than MAX_RATIO_BITS bits (RatioError).
     """
     del max_steps, max_word
-    mapping = rules.rules if isinstance(rules, DefiningConversion) else dict(rules)
-    checked_rules, changes_dimension = _structural_rules(system, mapping)
-    checked = DefiningConversion(checked_rules)
-    is_defining = not changes_dimension
-    report = analyze(system, checked)
-    witness = None if report.well_founded else _relation_witness(system, checked)
+    conversion = rules if isinstance(rules, DefiningConversion) else DefiningConversion(rules)
+    forms = _compile(system, conversion).forms
+    is_defining = all(keeps_dimension for _, _, keeps_dimension in forms.values())
+    report = analyze(system, conversion)
+    witness = None if report.well_founded else _relation_witness(forms)
     return ClassificationReport(
         is_defining=is_defining,
         is_well_defining=is_defining and report.well_founded,
-        is_regular=not checked.rules,
+        is_regular=not forms,
         consistency="guaranteed" if witness is None else "witness_found",
         witness=witness,
         cycle_witness=report.cycle_witness,

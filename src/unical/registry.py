@@ -20,7 +20,7 @@ from functools import partial
 from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from .abelian import ExponentMap, em_empty
-from .convert import DefiningConversion, RuleError, defining_conversion
+from .convert import DefiningConversion, RuleError, _check_rule, _freeze, _require_defining
 from .model import (
     MAX_MEMO_IDENTIFIERS,
     Dimension,
@@ -564,7 +564,7 @@ def _parse_ratio_entry(text: str, line: int) -> Fraction:
 def build_system(
     document: RegistryDocument, *, include_pathological: bool = True
 ) -> tuple[UnitSystem, DefiningConversion]:
-    """Validate a document and produce the system with its rules."""
+    """Validate a document and produce the system with its rules, each checked once, in document order."""
     dimension_symbols = frozenset(symbol for symbol, _ in document.dimensions)
     prefix_values = {
         entry.symbol: _parse_ratio_entry(entry.value_text, entry.line) for entry in document.prefixes
@@ -578,7 +578,7 @@ def build_system(
                 )
         unit_dimensions[entry.symbol] = entry.dimension
     system = UnitSystem(dimension_symbols, prefix_values, unit_dimensions)
-    rule_map: dict[str, tuple[Fraction, Unit]] = {}
+    checked = {}
     for entry in document.rules:
         if entry.pathological and not include_pathological:
             continue
@@ -589,14 +589,12 @@ def build_system(
             replacement = parse_unit(system, entry.unit_text)
         except UnitSyntaxError as error:
             raise RegistryError(f"bad rule expression: {error}", entry.line) from None
-        rule_map[entry.base] = (ratio, replacement)
         try:
-            defining_conversion(system, {entry.base: rule_map[entry.base]})
+            checked[entry.base] = _check_rule(system, entry.base, (ratio, replacement))
+            _require_defining(entry.base, checked[entry.base][1])
         except (RuleError, UnknownSymbolError) as error:
             raise RegistryError(str(error), entry.line) from None
-    # Each rule is checked on its own above, with its line; no check spans
-    # two rules, so the checked map is frozen as it is, in symbol order.
-    return system, DefiningConversion(dict(sorted(rule_map.items())))
+    return system, _freeze(system, checked)
 
 
 def load_registry(*texts: str, include_pathological: bool = True) -> tuple[UnitSystem, DefiningConversion]:

@@ -221,7 +221,12 @@ def test_the_documented_bound_boundaries_hold(capsys):
     for source, target in (("lb^538", "g^538"), ("Ym^175", "m^175")):
         code, out, _ = run_within_a_second(capsys, "convert", source, target, *registries)
         assert code == 0 and out.startswith("ratio: ")
-    refused = (("lb^539", "g^539", "rewritten factor"), ("Ym^176", "m^176", "prefix value"))
+    refused = (
+        ("lb^539", "g^539", "rewritten factor"),
+        ("Ym^176", "m^176", "prefix value"),
+        # The prefix (12000 bits) and N's factor (6000 bits) each fit alone, not together.
+        ("kkN^600", "g^600*m^600*s^-1200", "rewritten factor"),
+    )
     for source, target, bound in refused:
         code, out, err = run_within_a_second(capsys, "convert", source, target, *registries)
         assert code == 2 and not out

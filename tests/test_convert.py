@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from unical import (
+    MAX_RATIO_BITS,
     ClassificationReport,
     ConvTriple,
     DefiningConversion,
@@ -37,6 +38,8 @@ from unical import (
     explore_closure,
     load_registry,
     parse_unit,
+    ratio_bits,
+    root,
     rwr_eval,
     rwr_star,
     strip,
@@ -611,6 +614,67 @@ def test_classify_si_with_one_cyclic_rule(si_pair):
     assert classify(system, consistent).consistency == "guaranteed"
 
 
+def _reference_depths(system, rules):
+    """Each registered symbol's expansion depth, by recursion over `root`; None when the rules have a cycle."""
+    depth = dict.fromkeys(system.base_units, 0)
+    state = {}
+
+    def visit(base):
+        if base in state:
+            return state[base] == "done"
+        state[base] = "open"
+        dependencies = root(rules[base][1]).support()
+        if not all(visit(symbol) for symbol in dependencies if symbol in rules):
+            return False
+        depth[base] = 1 + max((depth[symbol] for symbol in dependencies), default=0)
+        state[base] = "done"
+        return True
+
+    return depth if all([visit(base) for base in sorted(rules)]) else None
+
+
+def assert_the_rule_forms_match_the_reference(system, conversion):
+    forms = CONVERT_MODULE._compile(system, conversion).forms
+    assert list(forms) == sorted(conversion.rules)
+    for base, (ratio, replacement) in conversion.rules.items():
+        factor, pairs, keeps_dimension = forms[base]
+        assert factor == ratio * evaluate(system, replacement).factor
+        assert pairs == root(replacement).items()
+        assert keeps_dimension == (dim(system, replacement) == system.base_units[base])
+    report = analyze(system, conversion)
+    assert report == analyze(system, DefiningConversion(dict(conversion.rules)))
+    depths = _reference_depths(system, conversion.rules)
+    assert report.well_founded == (depths is not None)
+    if depths is not None:
+        assert dict(report.depth) == depths and report.iteration_bound == max(depths.values(), default=0)
+    assert classify(system, conversion) == classify(system, dict(conversion.rules))
+
+
+RULE_SET_KINDS = ["chain", "consistent", "inconsistent", "changing dimension"]
+
+
+@given(st.randoms(use_true_random=False), st.sampled_from(RULE_SET_KINDS))
+def test_compiled_rule_forms_match_the_reference(rng, kind):
+    if kind == "chain":
+        base_count = rng.randint(2, 6)
+        system, conversion, _ = random_chain_system(rng, base_count, rng.randint(1, base_count - 1), 0.5)
+    else:
+        changing_dimension = kind == "changing dimension"
+        system, rules, _ = random_cyclic_rules(rng, kind == "consistent", 0.5, changing_dimension)
+        # A mapping that changes dimension is not defining: it is frozen as it is.
+        conversion = DefiningConversion(rules) if changing_dimension else defining_conversion(system, rules)
+    assert_the_rule_forms_match_the_reference(system, conversion)
+
+
+def test_loaded_rules_keep_the_forms_compiled_at_load():
+    for texts in (("si",), ("si", "uk")):
+        system, rules = load_registry(*map(bundled_registry, texts))
+        compiled = rules._compiled
+        assert compiled.system is system and compiled.table is None
+        assert_the_rule_forms_match_the_reference(system, rules)
+        assert rules._compiled is compiled
+
+
 def test_analyze_and_classify_are_linear_on_a_chain_of_5000_rules():
     system, rules = load_registry(chain_registry_text(5000)[0])
     for run in (analyze, classify):
@@ -729,6 +793,27 @@ def test_cyclic_rules_are_refused_before_any_unit_is_checked():
         assert _refusals(system, rules, unit) == {(NotWellDefiningError, message)}
 
 
+def test_prefix_and_rule_factor_bits_are_bounded_together(siuk_pair):
+    system, rules = siuk_pair
+    # k^1200 takes 12000 bits and N's factor of 1000 another 6000: each
+    # alone is within MAX_RATIO_BITS, the two together are not. The
+    # first call memoises kkN, so the later ones start on the memo.
+    for _ in range(2):
+        assert _refusals(system, rules, "kkN^600") == _too_large("rewritten factor")
+    assert rwr_star(system, rules, parse_unit(system, "kkN^466")).factor == 1000 ** (3 * 466)
+
+
+@given(st.randoms(use_true_random=False))
+def test_no_factor_rwr_star_returns_passes_the_bit_limit(siuk_pair, rng):
+    system, rules = siuk_pair
+    unit = random_unit(rng, system, max_parts=3, prefix_chance=0.7, exponents=tuple(range(-800, 801)))
+    try:
+        expanded = rwr_star(system, rules, unit)
+    except RatioError:
+        return
+    assert ratio_bits(expanded.factor) <= MAX_RATIO_BITS
+
+
 def test_the_documented_bound_boundaries_hold(siuk_pair):
     system, rules = siuk_pair
     pound = convert(system, rules, parse_unit(system, "lb"), parse_unit(system, "g"))
@@ -766,7 +851,7 @@ CONVERT_MODULE = sys.modules["unical.convert"]
 
 
 def _memo(rules):
-    return rules._compiled[3]
+    return rules._compiled.memo
 
 
 def as_preunit_of(system, text):
@@ -803,7 +888,7 @@ def assert_the_memo_changes_nothing(system, rules, cases):
 
 
 def assert_the_memo_holds_only_checked_unrefused_factors(system, rules):
-    refused = rules._compiled[2]
+    refused = rules._compiled.refused
     for preunit in _memo(rules):
         assert isinstance(preunit, PreUnit) and preunit.base in system.base_units, preunit
         assert preunit.base not in refused, preunit
@@ -879,7 +964,7 @@ def test_a_warm_factor_memo_agrees_with_fresh_rules_on_a_refused_normal_form():
     assert_the_memo_changes_nothing(system, rules, [(unit, other) for unit in units for other in units[-3:]])
     assert_the_memo_holds_only_checked_unrefused_factors(system, rules)
     memo = _memo(rules)
-    assert {"v", "w", "y"} <= set(rules._compiled[2])
+    assert {"v", "w", "y"} <= set(rules._compiled.refused)
     assert as_preunit_of(system, "k_x") in memo and as_preunit_of(system, "z") in memo
     assert not any(preunit.base in ("v", "w", "y") for preunit in memo)
 

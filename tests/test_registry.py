@@ -12,11 +12,14 @@ from unical import (
     MAX_UNIT_NESTING,
     ExponentMap,
     PreUnit,
+    RatioError,
     RegistryError,
     UnitSyntaxError,
     UnknownIdentifierError,
     bundled_registry,
     build_system,
+    classify,
+    convert,
     defining_conversion,
     em_delta,
     em_empty,
@@ -170,6 +173,29 @@ def test_build_system_rejects_a_dimension_changing_rule_with_its_line():
 def test_build_system_rules_match_whole_map_validation():
     checked = defining_conversion(SI, dict(SI_RULES.rules))
     assert list(SI_RULES.rules.items()) == list(checked.rules.items())
+
+
+def test_build_system_reports_the_first_bad_rule_in_document_order():
+    # In symbol order `A` comes first; in the document, `m` does.
+    with pytest.raises(RegistryError) as info:
+        load_registry(bundled_registry("si"), "[rules]\nm 1 s\nA 1 m\n")
+    assert info.value.line == 2 and str(info.value) == "line 2: rule for 'm' changes dimension"
+
+
+def test_a_rule_past_the_ratio_limit_is_refused_only_where_its_value_is_needed():
+    system, rules = load_registry(bundled_registry("si"), "[units]\nx L^600\n[rules]\nx 1 Ym^600\n")
+    assert defining_conversion(system, dict(rules.rules)) == rules
+    assert classify(system, rules).consistency == "guaranteed"
+    assert convert(system, rules, parse_unit(system, "km"), parse_unit(system, "m")) == 1000
+    with pytest.raises(RatioError) as info:
+        convert(system, rules, parse_unit(system, "x"), parse_unit(system, "m^600"))
+    assert str(info.value) == "normal form of 'x' is too large: over MAX_RATIO_BITS = 14000 bits"
+    # A cycle through the rule needs its value: evaluating it raises, as `evaluate` does.
+    cycle = {**rules.rules, "m": (Fraction(1), parse_unit(system, "x"))}
+    with pytest.raises(RatioError, match="^prefix value is too large"):
+        classify(system, cycle)
+    with pytest.raises(RatioError, match="^prefix value is too large"):
+        evaluate(system, rules.rules["x"][1])
 
 
 def test_read_registry_reads_a_file_path(tmp_path):
