@@ -55,6 +55,15 @@ BOUNDARY_TEXTS = [
     ("Ym^176*lb^539", "m^176*g^539"), ("km^4000/m^4000", "1"), ("Hz^20000", "s^-20000"),
     ("k_g^1000000000", "g^1000000000"), ("m^1000000001", "m"), ("(" * 100 + "m" + ")" * 100, "m"),
     ("(" * 101 + "m" + ")" * 101, "m"), ("", "m"), ("m*", "m"), ("qq", "m"), ("k_qq", "m"), ("m#", "m"),
+    # A character that starts no token is reported first, wherever it stands; a '^' is
+    # part of an identifier only before `-?[0-9]+_` and a symbol; and the parser's
+    # other faults: a missing or wrong atom, exponent or operator, and a second token.
+    ("k m#", "m"), ("qq*#", "m"), ("m^99999999999*#", "m"), ("(" * 101 + "m#", "m"), ("m**_", "m"),
+    ("m^x-", "m"), ("m)#", "m"), ("m*\ufb00#", "m"), ("m^2_", "m"), ("^2_m", "m"), ("m^2_*s", "m"),
+    ("(m)^2_s", "m"), ("k_d^3_m", "m^3"), ("d^3_m^2", "m^6"), ("d^-3_m", "m^-3"), ("m ^ -2 / s", "Hz/m^2"),
+    ("1^2", "1"), ("m^-0*s", "s"), ("k m", "m"), ("qq m", "m"), ("2*m", "m"), ("m**s", "m"), ("m^", "m"),
+    ("m^x", "m"), ("m^2 s", "m"), ("m^99999999999 s", "m"), ("m^99999999999", "m"), ("m(", "m"), ("(m", "m"),
+    ("m)", "m"), ("(m) s", "m"), ("(m)2", "m"), ("(m^2^3)", "m"), ("m/(s", "m"),
 ]
 
 # `y` has a normal form past MAX_RATIO_BITS, so only units that reach it are refused.

@@ -17,6 +17,7 @@ import re
 import unicodedata
 from fractions import Fraction
 from functools import partial
+from operator import itemgetter
 from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from .abelian import ExponentMap, em_empty
@@ -123,104 +124,133 @@ _PLAIN_SYMBOL_RE = re.compile(rf"{_SEGMENT}\Z")
 
 # (kind, text, position); kind is "ident" | "number" | one of "*/^()" | "end".
 _Token = tuple[str, str, int]
+_TOKEN = rf"([*/^()])|({_NUMBER_RE.pattern})|({_IDENT_RE.pattern})|\s+"
+_TOKEN_KINDS = (None, None, "number", "ident")  # by group of _TOKEN; an operator is its own kind; whitespace has none
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     pos = 0
-    length = len(text)
-    while pos < length:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch in "*/^()":
-            tokens.append((ch, ch, pos))
-            pos += 1
-            continue
-        match = (ch.isdigit() or ch == "-") and _NUMBER_RE.match(text, pos)
-        if match:
-            tokens.append(("number", match.group(), pos))
-            pos = match.end()
-            continue
-        match = _IDENT_RE.match(text, pos)
-        if match:
-            tokens.append(("ident", match.group(), pos))
-            pos = match.end()
-            continue
-        raise UnitSyntaxError(f"unexpected character {ch!r}", pos)
-    tokens.append(("end", "", length))
+    while pos < len(text):
+        match = re.compile(_TOKEN).match(text, pos)  # cached by `re`; compiled only once text fails to parse
+        if match is None:
+            raise UnitSyntaxError(f"unexpected character {text[pos]!r}", pos)
+        if match.lastindex:  # not whitespace
+            tokens.append((_TOKEN_KINDS[match.lastindex] or match.group(), match.group(), pos))
+        pos = match.end()
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
 # Turns an identifier token, given its position, into the generator it names.
 Resolver = Callable[[str, int], Any]
 
+_EXPONENT_DIGITS = len(str(MAX_UNIT_EXPONENT))  # an exponent literal with more is refused unread
+
+# Cuts text at its operators, keeping them: '*', '/', '(', ')', and each '^'
+# except one that starts the `^n_` inside an identifier such as `d^3_m`.
+_OPERATOR_RE = re.compile(r"([*/()]|\^(?!-?[0-9]+_))")
+_NONZERO = itemgetter(1)  # filters (generator, exponent) pairs to those with an exponent
+
 
 def _exponent(text: str, position: int) -> int:
     """An exponent literal's value, refused past MAX_UNIT_EXPONENT before `int` reads it."""
     digits = text.lstrip("-0")
-    if len(digits) > len(str(MAX_UNIT_EXPONENT)) or int(digits or "0") > MAX_UNIT_EXPONENT:
+    if len(digits) > _EXPONENT_DIGITS or int(digits or "0") > MAX_UNIT_EXPONENT:
         raise UnitSyntaxError(f"exponent magnitude is over MAX_UNIT_EXPONENT = {MAX_UNIT_EXPONENT}", position)
     return int(text)
 
 
-def _parse_expression(expression: str, resolver: Resolver) -> ExponentMap:
-    """Parse expression text over the grammar above, in one loop over its tokens.
+def _preunit_order(item: tuple[PreUnit, int]) -> tuple[str, Prefix]:
+    return item[0].base, item[0].prefix  # PreUnit's order, compared without `PreUnit.__lt__`
 
-    The resolver turns one identifier token into a generator, which is
-    what lets the same grammar serve unit expressions (identifiers
-    resolve to prefixed base units) and dimension expressions
-    (identifiers are taken as dimension symbols). Each generator goes
-    onto one list of (generator, exponent) pairs. A term's pairs form
-    the slice from where it starts; when it ends, the slice is scaled
-    by its `^n` and negated after a `/`. A `(` opens a term whose slice
-    outlasts the inner expression, so the loop stacks the start and sign
-    of each open one. One map is built at the end, so parsing is linear
-    in the text. The whole text is tokenized first.
+
+def _parse_expression(expression: str, resolver: Resolver, system: Optional[UnitSystem] = None) -> ExponentMap:
+    """Parse expression text over the grammar above, in one walk over the pieces between its operators.
+
+    The resolver turns an identifier, given its position, into a generator;
+    given a `system`, it is called as `resolver(system, identifier, position)`
+    and yields PreUnits. Each piece must be blank or one token: an identifier
+    or `1` where an atom is due, an integer after a `^`. A term's pairs, the
+    slice of one list from where it starts, are scaled by its `^n` and negated
+    after a `/` when it ends; each `(` stacks the start and sign of the term
+    it opens. The exponents are summed in one dict at the end, so parsing is
+    linear in the text. Text the walk cannot take is tokenized for its fault.
     """
-    tokens = _tokenize(_normalize(expression))
+    text = _normalize(expression)
+    # Pieces and operators alternate; the "" after the last piece stands for the end of input.
+    parts = _OPERATOR_RE.split(text) + [""]
     pairs: list[tuple[Any, int]] = []
     open_terms: list[tuple[int, int]] = []  # (start, sign) of each term opened by '('
-    start, sign, index = 0, 1, 0
-    while True:
-        kind, text, position = tokens[index]
-        index += 1
-        if kind == "(":
-            if len(open_terms) == MAX_UNIT_NESTING:
-                raise UnitSyntaxError(
-                    f"parentheses nest deeper than MAX_UNIT_NESTING = {MAX_UNIT_NESTING}", position
-                )
-            open_terms.append((start, sign))
-            start, sign = len(pairs), 1
-            continue
+    # `due` is what the next piece holds: an "atom", a "number" after '^', or nothing ("operator") after ')'.
+    start, sign, generator, end, due = 0, 1, None, -1, "atom"
+    try:
+        for index in range(0, len(parts), 2):
+            piece, operator = parts[index], parts[index + 1]
+            offset = end + 1
+            end = offset + len(piece)  # where the operator stands
+            word = piece.strip()
+            if due == "atom" and _IDENT_RE.fullmatch(word):
+                position = end - len(piece.lstrip())
+                generator = resolver(word, position) if system is None else resolver(system, word, position)
+            elif due == "number" and _NUMBER_RE.fullmatch(word):
+                sign *= _exponent(word, end - len(piece.lstrip()))
+            elif due == "atom" and not word and operator == "(":
+                if len(open_terms) == MAX_UNIT_NESTING:
+                    raise UnitSyntaxError(f"parentheses nest deeper than MAX_UNIT_NESTING = {MAX_UNIT_NESTING}", end)
+                open_terms.append((start, sign))
+                start, sign = len(pairs), 1
+                continue
+            elif (due != "atom" or word != "1") and (due != "operator" or word):
+                resolve = resolver if system is None else partial(resolver, system)  # only where parsing fails
+                raise _fault(due, piece, operator, offset, bool(open_terms), resolve)
+            if operator == "^" and due != "number":
+                due = "number"
+                continue
+            # A term ends: scale its pairs, and take the operator after it.
+            if generator is not None:  # the term is one identifier
+                pairs.append((generator, sign))
+                generator = None
+            elif sign != 1:
+                pairs[start:] = [(g, z * sign) for g, z in pairs[start:]]
+            if operator == "*" or operator == "/":
+                start, sign, due = len(pairs), 1 if operator == "*" else -1, "atom"
+            elif operator == ")" and open_terms:
+                (start, sign), due = open_terms.pop(), "operator"
+            elif operator or open_terms:
+                raise _fault("operator", "", operator, end, bool(open_terms))
+    except UnitSyntaxError:
+        _tokenize(text)  # a character that starts no token is reported first, wherever it stands
+        raise
+    totals: dict[Any, int] = {}
+    for g, z in pairs:
+        totals[g] = totals.get(g, 0) + z
+    items = sorted(filter(_NONZERO, totals.items()), key=None if system is None else _preunit_order)
+    return ExponentMap._canonical(tuple(items))  # from a list: a tuple made from an iterator raised peak RSS
+
+
+def _fault(expected: str, piece: str, operator: str, offset: int, nested: bool, resolve: Any = None) -> UnitSyntaxError:
+    """The fault in a piece and its operator, where the walk expected an "atom", a "number" or an "operator".
+
+    A first token that fits is taken as the walk takes it, so that its own error comes first.
+    """
+    tokens = _tokenize(piece)
+    tokens[-1] = (operator, operator, len(piece))
+    kind, word, position = tokens[0]
+    if (expected == "atom" and (kind == "ident" or word == "1")) or (expected == "number" and kind == "number"):
         if kind == "ident":
-            pairs.append((resolver(text, position), 1))
-        elif kind != "number" or text != "1":
-            raise UnitSyntaxError(f"expected a symbol, '(' or 1, found {text or 'end of input'!r}", position)
-        # An atom is complete: end its term, and each term that a ')' then closes.
-        while True:
-            kind, text, position = tokens[index]
-            index += 1
-            if kind == "^":
-                kind, text, position = tokens[index]
-                if kind != "number":
-                    raise UnitSyntaxError(f"expected 'number', found {text or 'end of input'!r}", position)
-                sign *= _exponent(text, position)
-                kind, text, position = tokens[index + 1]
-                index += 2
-            if sign != 1:
-                pairs[start:] = [(generator, z * sign) for generator, z in pairs[start:]]
-            if kind == "*" or kind == "/":
-                start, sign = len(pairs), 1 if kind == "*" else -1
-                break
-            if not open_terms:
-                if kind != "end":
-                    raise UnitSyntaxError(f"unexpected trailing input {text!r}", position)
-                return ExponentMap(pairs)
-            if kind != ")":
-                raise UnitSyntaxError(f"expected ')', found {text or 'end of input'!r}", position)
-            start, sign = open_terms.pop()
+            resolve(word, offset + position)
+        elif expected == "number":
+            _exponent(word, offset + position)
+        expected, (kind, word, position) = "operator", tokens[1]
+    found = word or "end of input"
+    if expected == "atom":
+        message = f"expected a symbol, '(' or 1, found {found!r}"
+    elif expected == "number":
+        message = f"expected 'number', found {found!r}"
+    else:
+        message = f"expected ')', found {found!r}" if nested else f"unexpected trailing input {word!r}"
+    return UnitSyntaxError(message, offset + position)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +365,7 @@ def parse_unit(system: UnitSystem, text: str) -> Unit:
     NFKC-normalized first, so e.g. the micro sign and the ohm sign match
     their Greek-letter registry spellings.
     """
-    return _parse_expression(text, partial(_resolve_identifier, system))
+    return _parse_expression(text, _resolve_identifier, system)
 
 
 # ---------------------------------------------------------------------------

@@ -602,6 +602,11 @@ def assert_the_parsers_agree(text):
         f"(km/s)^{MAX_UNIT_EXPONENT + 1}*qq",
         f"(km/s)^-{MAX_UNIT_EXPONENT}/m^{MAX_UNIT_EXPONENT - 1}",
         "(m*(s/kg)^-2)/(1/lb)^3",
+        # A character that starts no token is reported before any other fault, wherever it stands.
+        "k m#", "qq*#", "m^99999999999*#", "(" * 101 + "m#", "m**_", "m^x-", "m)#", "m*\ufb00#",
+        # A '^' belongs to an identifier only when `-?[0-9]+_` and a symbol follow it.
+        "m^2_", "^2_m", "m^2_*s", "(m)^2_s", "k_d^3_m", "d^3_m^2", "d^-3_m",
+        "m ^ -2 / s", "1^2", "m^-0*s",
     ],
 )
 def test_the_one_loop_parser_matches_the_recursive_descent_reference_on_examples(text):
@@ -612,3 +617,14 @@ def test_the_one_loop_parser_matches_the_recursive_descent_reference_on_examples
 @given(PARSER_TEXTS)
 def test_the_one_loop_parser_matches_the_recursive_descent_reference(text):
     assert_the_parsers_agree(text)
+
+
+@given(st.one_of(PARSER_TEXTS, EXPRESSION_TREES.map(lambda tree: render_tree(tree)[0])))
+def test_a_parsed_map_is_canonical(text):
+    # The parser builds its map without the constructor's checks; rebuilding it through them changes nothing.
+    for parse in (lambda: parse_unit(SIUK, text), lambda: _parse_expression(text, lambda ident, position: ident)):
+        try:
+            result = parse()
+        except UnitSyntaxError:
+            continue
+        assert result.items() == ExponentMap(result.items()).items()
