@@ -64,6 +64,12 @@ BOUNDARY_TEXTS = [
     ("1^2", "1"), ("m^-0*s", "s"), ("k m", "m"), ("qq m", "m"), ("2*m", "m"), ("m**s", "m"), ("m^", "m"),
     ("m^x", "m"), ("m^2 s", "m"), ("m^99999999999 s", "m"), ("m^99999999999", "m"), ("m(", "m"), ("(m", "m"),
     ("m)", "m"), ("(m) s", "m"), ("(m)2", "m"), ("(m^2^3)", "m"), ("m/(s", "m"),
+    # Known identifiers with whitespace around them, and exponents next to the short
+    # literals: padded, signed, with a leading zero, past one digit, or not ASCII.
+    (" km ", "m"), ("km * s", "m*s"), ("( km )^2", "m^2"), ("\tk_g\t/ s", "g/s"), ("\u3000km\u3000", "m"),
+    ("km s", "m"), ("m^02", "m^2"), ("m^-0", "1"), ("m^+2", "m"), ("m^ -2", "m^-2"), ("m^²", "m^2"), ("m^٣", "m"),
+    ("m^9", "m^9"), ("m^-9", "m^-9"), ("m^10", "m^10"), ("m^-10", "m^-10"), ("m ^ 2 /s", "m^2/s"), ("m^2 _s", "m"),
+    ("m^-2_s", "s"), ("1^-9", "1"),
 ]
 
 # `y` has a normal form past MAX_RATIO_BITS, so only units that reach it are refused.

@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 not convertible, 2 parse or registry error,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Optional
@@ -300,6 +299,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_NOT_WELL_DEFINING
     if args.format == "structured":
+        import json  # imported here, so that plain output does not pay for it in a cold start
+
         payload = {"schema": SCHEMA, "command": args.command, **fields}
         print(json.dumps(payload, sort_keys=True, ensure_ascii=False))
     else:

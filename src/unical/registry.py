@@ -18,7 +18,8 @@ import unicodedata
 from fractions import Fraction
 from functools import partial
 from operator import itemgetter
-from typing import Any, Callable, Iterable, NamedTuple, Optional
+from types import MappingProxyType
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional
 
 from .abelian import ExponentMap, em_empty
 from .convert import DefiningConversion, RuleError, _check_rule, _freeze, _require_defining
@@ -151,6 +152,8 @@ _EXPONENT_DIGITS = len(str(MAX_UNIT_EXPONENT))  # an exponent literal with more 
 # except one that starts the `^n_` inside an identifier such as `d^3_m`.
 _OPERATOR_RE = re.compile(r"([*/()]|\^(?!-?[0-9]+_))")
 _NONZERO = itemgetter(1)  # filters (generator, exponent) pairs to those with an exponent
+_SHORT_EXPONENTS = {str(z): z for z in range(-9, 10)}  # exponent literals read without `_exponent`
+_NO_MEMO: Mapping[str, PreUnit] = MappingProxyType({})  # for dimension columns, which memoise nothing
 
 
 def _exponent(text: str, position: int) -> int:
@@ -176,8 +179,11 @@ def _parse_expression(expression: str, resolver: Resolver, system: Optional[Unit
     after a `/` when it ends; each `(` stacks the start and sign of the term
     it opens. The exponents are summed in one dict at the end, so parsing is
     linear in the text. Text the walk cannot take is tokenized for its fault.
+    A piece equal to a key of the system's memo, each of which the walk reads
+    as one identifier, and a short exponent are each read with one lookup.
     """
     text = _normalize(expression)
+    memo = _NO_MEMO if system is None else system._resolved
     # Pieces and operators alternate; the "" after the last piece stands for the end of input.
     parts = _OPERATOR_RE.split(text) + [""]
     pairs: list[tuple[Any, int]] = []
@@ -190,7 +196,11 @@ def _parse_expression(expression: str, resolver: Resolver, system: Optional[Unit
             offset = end + 1
             end = offset + len(piece)  # where the operator stands
             word = piece.strip()
-            if due == "atom" and _IDENT_RE.fullmatch(word):
+            if due == "atom" and (generator := memo.get(word)) is not None:
+                pass
+            elif due == "number" and (power := _SHORT_EXPONENTS.get(word)) is not None:
+                sign *= power
+            elif due == "atom" and _IDENT_RE.fullmatch(word):
                 position = end - len(piece.lstrip())
                 generator = resolver(word, position) if system is None else resolver(system, word, position)
             elif due == "number" and _NUMBER_RE.fullmatch(word):
@@ -335,7 +345,9 @@ def _resolve_identifier(system: UnitSystem, text: str, position: int = 0) -> Pre
 
     Only successful resolutions of identifiers up to
     MAX_MEMO_IDENTIFIER_LEN characters are kept, so an unknown
-    identifier raises with its own position each time it occurs.
+    identifier raises with its own position each time it occurs; and
+    only text the grammar reads as one identifier, so that the parser
+    may take any key from the memo unchecked.
     """
     memo = system._resolved
     preunit = memo.get(text)
@@ -348,7 +360,7 @@ def _resolve_identifier(system: UnitSystem, text: str, position: int = 0) -> Pre
             preunit = _resolve_greedy(system, text)
         if preunit is None:
             raise UnknownIdentifierError(f"unknown unit identifier {text!r}", position)
-        if len(text) <= MAX_MEMO_IDENTIFIER_LEN:
+        if len(text) <= MAX_MEMO_IDENTIFIER_LEN and _IDENT_RE.fullmatch(text):
             if len(memo) >= MAX_MEMO_IDENTIFIERS:
                 memo.clear()
             memo[text] = preunit

@@ -21,7 +21,7 @@ from unical import (
     rwr_eval,
     val,
 )
-from unical.registry import MAX_UNIT_NESTING, UnitSyntaxError, _exponent, _normalize, _Token, _tokenize
+from unical.registry import MAX_UNIT_NESTING, UnitSyntaxError, _exponent, _normalize
 
 TEST_PREFIXES = {
     "p2": Fraction(2),
@@ -218,9 +218,67 @@ def exhaust(system, conversion, unit, bound):
 
 
 # The recursive-descent parser that `registry._parse_expression` replaced,
-# kept as the reference it is tested against. Its resolver returns the
-# group element an identifier names, not the bare generator.
+# kept as the reference it is tested against, with a lexer of its own so
+# that `registry._tokenize` is checked too. Its resolver returns the group
+# element an identifier names, not the bare generator.
 Resolver = Callable[[str, int], ExponentMap]
+Token = tuple[str, str, int]  # (kind, text, position); kind is "ident" | "number" | one of "*/^()" | "end"
+
+_DIGITS = "0123456789"  # only ASCII digits: '²' and '٣' are symbol characters
+_NOT_SYMBOL = _DIGITS + "_*/^()#-"  # and whitespace
+
+
+def _symbol_end(text: str, pos: int) -> int:
+    while pos < len(text) and not text[pos].isspace() and text[pos] not in _NOT_SYMBOL:
+        pos += 1
+    return pos
+
+
+def _digits_end(text: str, pos: int) -> int:
+    while pos < len(text) and text[pos] in _DIGITS:
+        pos += 1
+    return pos
+
+
+def reference_tokenize(text: str) -> list[Token]:
+    """Tokens of expression text, read one character at a time.
+
+    An identifier is a run of symbol characters followed by any number of
+    `_` + run, each `_` optionally preceded by `^` and a signed integer
+    (`d^3_m`); a number is an optional `-` and ASCII digits.
+    """
+    tokens: list[Token] = []
+    pos = 0
+    while pos < len(text):
+        char = text[pos]
+        digits = pos + (char == "-")
+        if char.isspace():
+            pos += 1
+        elif char in "*/^()":
+            tokens.append((char, char, pos))
+            pos += 1
+        elif _digits_end(text, digits) > digits:
+            end = _digits_end(text, digits)
+            tokens.append(("number", text[pos:end], pos))
+            pos = end
+        elif _symbol_end(text, pos) > pos:
+            end = _symbol_end(text, pos)
+            while True:  # one more `(^n)?_run`, taken only if whole
+                joint = end
+                if text.startswith("^", joint):
+                    signed = joint + 1 + text.startswith("-", joint + 1)
+                    joint = _digits_end(text, signed)
+                    if joint == signed:
+                        break
+                if not text.startswith("_", joint) or _symbol_end(text, joint + 1) == joint + 1:
+                    break
+                end = _symbol_end(text, joint + 1)
+            tokens.append(("ident", text[pos:end], pos))
+            pos = end
+        else:
+            raise UnitSyntaxError(f"unexpected character {char!r}", pos)
+    tokens.append(("end", "", len(text)))
+    return tokens
 
 
 class _ExpressionParser:
@@ -235,22 +293,22 @@ class _ExpressionParser:
     `parse` builds one map at the end, so parsing is linear in the text.
     """
 
-    def __init__(self, tokens: list[_Token], resolver: Resolver):
+    def __init__(self, tokens: list[Token], resolver: Resolver):
         self._tokens = tokens
         self._index = 0
         self._depth = 0
         self._resolver = resolver
         self._pairs: list[tuple[Any, int]] = []
 
-    def _peek(self) -> _Token:
+    def _peek(self) -> Token:
         return self._tokens[self._index]
 
-    def _advance(self) -> _Token:
+    def _advance(self) -> Token:
         token = self._tokens[self._index]
         self._index += 1
         return token
 
-    def _expect(self, kind: str) -> _Token:
+    def _expect(self, kind: str) -> Token:
         found, text, position = self._peek()
         if found != kind:
             raise UnitSyntaxError(f"expected {kind!r}, found {text or 'end of input'!r}", position)
@@ -308,4 +366,4 @@ class _ExpressionParser:
 
 def reference_parse(text, resolver):
     """Parse expression text as the recursive-descent parser does."""
-    return _ExpressionParser(_tokenize(_normalize(text)), resolver).parse()
+    return _ExpressionParser(reference_tokenize(_normalize(text)), resolver).parse()

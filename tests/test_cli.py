@@ -260,13 +260,14 @@ def test_an_oversized_normal_form_refuses_only_the_conversions_that_reach_it(cap
 
 def test_importing_the_cli_loads_no_dataclass_machinery():
     # -S keeps site hooks out, so only what the probe imports, and what a
-    # command that reads a bundled registry loads, is counted. A bare
-    # `import unical` loads none of the CLI either.
+    # command that reads a bundled registry loads, is counted. Only
+    # structured output loads `json`. A bare `import unical` loads none
+    # of the CLI either.
     unwanted = {"dataclasses", "inspect", "importlib.resources"}
     source_dir = str(Path(unical.__file__).resolve().parents[1])
     for module, command, names in (
-        ("unical.cli", "", unwanted),
-        ("unical.cli", "unical.cli.main(['convert', 'km', 'm']); ", unwanted),
+        ("unical.cli", "", unwanted | {"json"}),
+        ("unical.cli", "unical.cli.main(['convert', 'km', 'm']); ", unwanted | {"json"}),
         ("unical", "", unwanted | {"unical.cli", "argparse", "json"}),
     ):
         probe = f"import sys, {module}; {command}print(sorted({names!r} & set(sys.modules)))"

@@ -1,4 +1,5 @@
 import codecs
+import random
 import time
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from unical import (
     RatioError,
     RegistryError,
     UnitSyntaxError,
+    UnitSystem,
     UnknownIdentifierError,
     bundled_registry,
     build_system,
@@ -42,7 +44,7 @@ from unical import (
 )
 from unical import registry
 from unical.registry import MAX_MEMO_IDENTIFIER_LEN, MAX_REGISTRY_BYTES, _parse_expression, _resolve_identifier
-from support import as_preunit, bare, random_unit, reference_parse, unit_of
+from support import as_preunit, bare, random_unit, reference_parse, reference_tokenize, unit_of
 
 SI, SI_RULES = load_registry(bundled_registry("si"))
 
@@ -628,3 +630,87 @@ def test_a_parsed_map_is_canonical(text):
         except UnitSyntaxError:
             continue
         assert result.items() == ExponentMap(result.items()).items()
+
+
+# Characters whose class a lexer could get wrong: blanks that are whitespace
+# to `str.isspace` and `re` alike, digits other than ASCII, and stray ones.
+LEXER_CHARACTERS = st.one_of(
+    st.sampled_from("km_^-09*/() #\t\u3000\x1c\x85\xa0\u2028\u200b²٣①é"), st.characters()
+)
+
+
+@settings(max_examples=300)
+@given(st.text(LEXER_CHARACTERS, max_size=16))
+@example("d^-3_m^2_k^_s ^-_x")
+@example("k^-_m-1-")
+def test_the_lexer_matches_the_reference_lexer(text):
+    assert _parse_outcome(lambda: registry._tokenize(text)) == _parse_outcome(lambda: reference_tokenize(text))
+
+
+def fresh_siuk():
+    return UnitSystem(SIUK.base_dimensions, SIUK.base_prefixes, SIUK.base_units)
+
+
+def assert_memo_keys_are_identifiers(system):
+    # The parser takes a piece equal to a memo key from the memo unchecked.
+    for key in system._resolved:
+        assert registry._IDENT_RE.fullmatch(key) and registry._OPERATOR_RE.split(key) == [key]
+
+
+def test_a_rendering_the_grammar_cannot_read_is_not_memoised():
+    # The printer resolves `ka b` for the base unit `a b`, which no unit text can name.
+    system = UnitSystem({"L"}, {"k": Fraction(1000)}, {"a b": em_delta("L")})
+    for _ in range(2):  # before and after print_unit
+        with pytest.raises(UnknownIdentifierError) as caught:
+            parse_unit(system, "ka b")
+        assert (str(caught.value), caught.value.position) == ("unknown unit identifier 'ka' (at position 0)", 0)
+        assert print_unit(system, em_delta(PreUnit(em_delta("k"), "a b"))) == "ka b"
+    assert "ka b" not in system._resolved
+    assert_memo_keys_are_identifiers(system)
+
+
+def spaced(rng, text):
+    """`text` with blanks put at random before its pieces and operators."""
+    return "".join(rng.choice(["", "", " ", "\t", "\u3000"]) + part for part in registry._OPERATOR_RE.split(text))
+
+
+# Known identifiers with whitespace around them, and exponents next to the
+# short literals that are read from a table: padded, signed, with a leading
+# zero, or written in digits that are not ASCII.
+MEMO_EDGE_TEXTS = [
+    " km ", "km * s", "( km )^2", "\tk_g\t/ s", "\u3000km\u3000", "k m", "km s", "m^02", "m^-0", "m^+2",
+    "m^ -2", "m^²", "m^٣", "m^9", "m^-9", "m^10", "m^-10", "m ^ 2 /s", "m^2 _s", "m^-2_s", "1^-9",
+]
+
+
+def assert_a_warm_memo_parses_as_a_fresh_one(text, rng):
+    warm = fresh_siuk()
+    parsed = _parse_outcome(lambda: parse_unit(warm, text))
+    if isinstance(parsed, ExponentMap):
+        print_unit(warm, parsed)
+    for _ in range(3):
+        parse_unit(warm, print_unit(warm, random_unit(rng, warm)))
+    assert_memo_keys_are_identifiers(warm)
+    fresh = fresh_siuk()
+    expected = _parse_outcome(
+        lambda: reference_parse(text, lambda ident, position: em_delta(_resolve_identifier(fresh, ident, position)))
+    )
+    assert _parse_outcome(lambda: parse_unit(fresh_siuk(), text)) == expected
+    assert _parse_outcome(lambda: parse_unit(warm, text)) == expected
+
+
+@pytest.mark.parametrize("text", MEMO_EDGE_TEXTS)
+def test_a_warm_identifier_memo_parses_as_a_fresh_one_on_examples(text):
+    assert_a_warm_memo_parses_as_a_fresh_one(text, random.Random(0))
+
+
+@settings(max_examples=150)
+@given(
+    st.one_of(
+        PARSER_TEXTS,
+        st.randoms(use_true_random=False).map(lambda rng: spaced(rng, print_unit(SIUK, random_unit(rng, SIUK)))),
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_a_warm_identifier_memo_parses_as_a_fresh_one(text, rng):
+    assert_a_warm_memo_parses_as_a_fresh_one(text, rng)
