@@ -13,8 +13,9 @@ every case.
 
 The unit cases are the benchmark's `convert_mix` query pools (from
 `bench/gen.py`, seeds 1-3) over si+uk; texts at the documented bounds;
-malformed texts; texts reaching a normal form too large to compile; and
-seeded random texts over si and over si+uk. The rule-set cases are the
+malformed texts; texts reaching a normal form too large to compile;
+texts whose prefixes cancel, over si+uk with a second prefix worth `k`;
+and seeded random texts over si and over si+uk. The rule-set cases are the
 benchmark's `classify_cycles` registries (seeds 1-3); the bundled and
 boundary registries; and seeded random cyclic mappings from
 `tests/support.py`, consistent, inconsistent and changing dimension,
@@ -75,6 +76,17 @@ BOUNDARY_TEXTS = [
 # `y` has a normal form past MAX_RATIO_BITS, so only units that reach it are refused.
 OVERSIZED = "[units]\nx L\ny L\n[rules]\nx 2 m\ny 1 x^20000*m^-19999\n"
 OVERSIZED_TEXTS = [("y", "m"), ("x*y", "m^2"), ("k_y*y^-1", "1"), ("x^3", "m^3"), ("y^0*x", "m")]
+
+# `kilo` is worth what `k` is, so `k_kilo^-1_m` has prefix value one: summed per
+# value its bits are 0, summed per symbol 20. Each text is met by the exact walk
+# first and then read from the factor memo, with and without `lb^538` (13 684 bits)
+# before it. The boundary texts that follow read there as they do over si+uk.
+TWIN_PREFIX = "[prefixes]\nkilo 1000\n"
+TWIN_PREFIX_TEXTS = [
+    pair for n in (700, 1400, 20000) for pair in (
+        (f"k_kilo^-1_m^{n}", f"m^{n}"), (f"k_kilo^-1_m^{n}*lb^538", f"m^{n}*g^538")
+    )
+]
 
 # `x`'s replacement has a prefix value past MAX_RATIO_BITS: it loads, and
 # is refused only where its value is needed, as in a cycle through it.
@@ -185,6 +197,7 @@ def main() -> None:
         (siuk, pools + BOUNDARY_TEXTS + random_texts(rng, args.random)),
         (load_registry(si), random_texts(rng, args.random)),
         (load_registry(si, OVERSIZED), OVERSIZED_TEXTS + BOUNDARY_TEXTS),
+        (load_registry(si, bundled_registry("uk"), TWIN_PREFIX), TWIN_PREFIX_TEXTS + BOUNDARY_TEXTS),
     ]
     registries = [(si, *(bundled_registry(t) if t == "uk" else t for t in extra)) for extra in REGISTRY_EXTRAS]
     registries += [(case["registry"],) for seed in (1, 2, 3) for block in cycle_blocks(seed) for case in block]

@@ -34,9 +34,8 @@ from .model import (
     pval,
     root,
     strip,
-    val,
 )
-from .numeric import MAX_RATIO_BITS, ONE, RatioError, ratio_bits, ratio_check_bits, ratio_inv
+from .numeric import MAX_RATIO_BITS, ONE, RatioError, _multiply_out, ratio_bits, ratio_check_bits, ratio_inv
 
 __all__ = [
     "ClassificationReport",
@@ -114,10 +113,13 @@ class DefiningConversion(Immutable):
     Build these through `defining_conversion`, which checks the shape;
     the constructor itself only freezes the mapping. `_compiled` keeps
     what the rules compile to against one unit system, matched by
-    identity: each rule's form, made as the rules are checked, and, built
-    from the forms on first conversion, the normal forms, the refused
-    symbols and a memo of expanded factors (at most MAX_MEMO_IDENTIFIERS
-    entries). Equality, hashing and the repr leave it out.
+    identity. Made as the rules are checked: each rule's form, and the
+    ruled symbols' dependency order or one cycle among them, from one
+    walk over the forms. Built from those on first conversion: the normal
+    forms, the refused symbols and a memo of expanded factors (at most
+    MAX_MEMO_IDENTIFIERS entries), each entry the expansion walk's own
+    result for its factor alone. Equality, hashing and the repr leave it
+    out.
     """
 
     __slots__ = ("rules", "_compiled")
@@ -147,10 +149,11 @@ _RuleForm = tuple[object, tuple[tuple[str, int], ...], bool]
 
 
 class _Compiled:
-    __slots__ = ("system", "forms", "table", "refused", "memo")
+    __slots__ = ("system", "forms", "cycle", "order", "table", "refused", "memo")
 
     def __init__(self, system: UnitSystem, forms: dict[str, _RuleForm]):
         self.system, self.forms = system, forms
+        self.cycle, self.order = _walk(forms)
         self.table = self.refused = self.memo = None
 
 
@@ -170,7 +173,7 @@ def _check_rule(system: UnitSystem, base: str, rule: tuple) -> tuple[tuple[Fract
     if not isinstance(replacement, ExponentMap):
         raise RuleError(f"rule for {base!r} needs a unit replacement, got {replacement!r}")
     try:
-        numerator, denominator, pairs = _expand(system, {}, {}, None, replacement)
+        numerator, denominator, _, pairs = _expand(system, {}, {}, None, replacement)
         factor = Fraction(ratio.numerator * numerator, ratio.denominator * denominator)
     except (RatioError, UnknownSymbolError, TypeError) as error:  # what `evaluate` raises
         factor, pairs = error, root(replacement).items()
@@ -198,10 +201,10 @@ def _freeze(system: UnitSystem, checked: Mapping[str, tuple[tuple[Fraction, Unit
 
 
 def _compile(system: UnitSystem, conversion: DefiningConversion) -> _Compiled:
-    """The rules' forms against `system`, made on first use; rules are checked, but may change dimension."""
+    """The rules compiled against `system`, made on first use; rules are checked, but may change dimension."""
     compiled, rules = conversion._compiled, conversion.rules
     if compiled is None or compiled.system is not system:
-        compiled = _freeze(system, {base: _check_rule(system, base, rules[base]) for base in sorted(rules)})._compiled
+        compiled = _Compiled(system, {base: _check_rule(system, base, rules[base])[1] for base in sorted(rules)})
         object.__setattr__(conversion, "_compiled", compiled)
     return compiled
 
@@ -225,7 +228,7 @@ class DependencyReport(Immutable):
 
     A rule depends directly on the symbols in the support of its
     replacement's root, after any cancellation inside the replacement;
-    `analyze` walks those edges once. When the relation is
+    the rules walk those edges once, when compiled. When the relation is
     well-founded, `depth` gives each registered base unit's expansion
     depth (zero for symbols without a rule) and `iteration_bound` the
     number of parallel rewriting passes after which every unit is fully
@@ -278,14 +281,14 @@ def _walk(forms: Mapping[str, _RuleForm]) -> tuple[Optional[tuple[str, ...]], li
 
 
 def analyze(system: UnitSystem, conversion: DefiningConversion) -> DependencyReport:
-    """The dependency structure of the rules, read from their compiled forms."""
-    forms = _compile(system, conversion).forms
-    cycle, order = _walk(forms)
+    """The dependency structure of the rules, read from their compiled forms and order."""
+    compiled = _compile(system, conversion)
+    cycle = compiled.cycle
     depth: Optional[dict[str, int]] = None
     if cycle is None:
         depth = dict.fromkeys(system.base_units, 0)
-        for symbol in order:
-            depth[symbol] = 1 + max((depth.get(s, 0) for s, _ in forms[symbol][1]), default=0)
+        for symbol in compiled.order:
+            depth[symbol] = 1 + max((depth.get(s, 0) for s, _ in compiled.forms[symbol][1]), default=0)
     return DependencyReport(
         well_founded=cycle is None,
         cycle_witness=cycle,
@@ -317,11 +320,7 @@ def _power_product(powers: list[tuple[Fraction, int]], what: str) -> Fraction:
     cancellation between the ratios.
     """
     ratio_check_bits(sum(abs(z) * ratio_bits(r) for r, z in powers if r != 1), what)
-    numerator = denominator = 1
-    for r, z in powers:
-        numerator *= r.numerator**z if z > 0 else r.denominator**-z
-        denominator *= r.denominator**z if z > 0 else r.numerator**-z
-    return Fraction(numerator, denominator)
+    return Fraction(*_multiply_out(((r.numerator, r.denominator), z) for r, z in powers))
 
 
 def rwr_eval(system: UnitSystem, conversion: DefiningConversion, unit: EvaluatedUnit) -> EvaluatedUnit:
@@ -340,36 +339,36 @@ def rwr_eval(system: UnitSystem, conversion: DefiningConversion, unit: Evaluated
     return EvaluatedUnit(unit.factor * _power_product(powers, "rewritten factor"), ExponentMap(pairs))
 
 
-# A compiled normal form: the factor's (numerator, denominator), its bits
-# for the substitution bound (0 for a factor of one), the root's pairs.
-_NormalForm = tuple[tuple[int, int], int, list[tuple[str, int]]]
-
-# A memoised factor: the numerator and denominator of its prefix value
-# times its base's normal form, in lowest terms; its bits, at least what
-# it adds to each of `_expand`'s two bounds; the normal form's root pairs.
+# An expanded factor: numerator, denominator, bits and root pairs. `_expand`
+# returns one, unreduced, with the bits it checked. Normal-form table and
+# memo entries are in lowest terms; a normal form's bits are its factor's own
+# (0 for one), a memoised factor's what the walk checked for it alone.
 _Factor = tuple[int, int, int, Sequence[tuple[str, int]]]
 
 
 def _expand(
     system: UnitSystem,
-    table: Mapping[str, _NormalForm],
+    table: Mapping[str, _Factor],
     refused: Mapping[str, str],
     memo: Optional[dict[PreUnit, _Factor]],
     unit: Unit,
-) -> tuple[int, int, list[tuple[str, int]]]:
+) -> _Factor:
     """Evaluate a unit and substitute the table's normal forms, in one walk.
 
-    Returns the factor's numerator and denominator, unreduced, and the
-    root's canonical pairs. Raises `_check_unit`'s errors, then as
-    `_substitute` does.
+    Returns the factor's numerator and denominator, unreduced, the bits
+    checked against MAX_RATIO_BITS, and the root's canonical pairs.
+    Raises `_check_unit`'s errors, then as `_substitute` does.
 
     Full expansion is a homomorphism, so each factor can be expanded on
     its own. While every factor is in `memo` and the sum of |exponent| *
     bits over them stays within MAX_RATIO_BITS, checked before each
-    power, that sum bounds both bounds, and the memo's entries are
-    multiplied out. Otherwise the unit is walked factor by factor, which
-    decides every refusal and memoises each checked factor whose base is
-    not refused.
+    power, the memo's entries are multiplied out: by the triangle
+    inequality that sum bounds both of the walk's bounds. Otherwise the
+    unit is walked factor by factor, which decides every refusal and
+    memoises each checked factor whose base is not refused: the walk's
+    own result for that factor alone, in lowest terms, with its base's
+    normal-form pairs, shared with the table. A factor the walk refuses
+    alone is not memoised.
     """
     if memo:
         numerator = denominator = 1
@@ -388,7 +387,7 @@ def _expand(
             for symbol, e in pairs:
                 expanded[symbol] = expanded.get(symbol, 0) + e * z
         else:
-            return numerator, denominator, sorted([(symbol, e) for symbol, e in expanded.items() if e])
+            return numerator, denominator, bits, sorted([(symbol, e) for symbol, e in expanded.items() if e])
     bases: dict[str, int] = {}
     values: dict[tuple[int, int], int] = {}
     for preunit, z in unit.items():
@@ -408,22 +407,36 @@ def _expand(
             values[key] = values.get(key, 0) + e * z
         bases[preunit.base] = bases.get(preunit.base, 0) + z
         if memo is not None and preunit.base not in refused and preunit not in memo:
-            _remember(system, table, memo, preunit)
+            try:
+                n, d, factor_bits, _ = _expand(system, table, refused, None, em_delta(preunit))
+            except RatioError:
+                continue
+            common = gcd(n, d)
+            if len(memo) >= MAX_MEMO_IDENTIFIERS:
+                memo.clear()
+            memo[preunit] = (n // common, d // common, factor_bits, _table_entry(table, preunit.base)[3])
     return _substitute(table, refused, values, bases)
 
 
+def _table_entry(table: Mapping[str, _Factor], base: str) -> _Factor:
+    """A symbol's table entry; a symbol without one stands for itself."""
+    return table.get(base) or (1, 1, 0, ((base, 1),))
+
+
 def _substitute(
-    table: Mapping[str, _NormalForm],
+    table: Mapping[str, _Factor],
     refused: Mapping[str, str],
     values: dict[tuple[int, int], int],
     bases: dict[str, int],
-) -> tuple[int, int, list[tuple[str, int]]]:
+) -> _Factor:
     """Multiply out ratio powers ((numerator, denominator) -> exponent), substituting normal forms.
 
     Before any power is taken, raises RatioError when the ratios' sum of
     |exponent| * bits passes MAX_RATIO_BITS, then for the first refused
     symbol, then when that sum plus sum |exponent| * bits over the
-    substituted forms passes it; so the result fits too.
+    substituted forms passes it; so the result fits too. Returns the
+    numerator and denominator, unreduced, that last sum, and the root's
+    pairs.
     """
     bits = sum(abs(e) * max(n.bit_length(), d.bit_length()) for (n, d), e in values.items())
     ratio_check_bits(bits, "prefix value")
@@ -431,60 +444,41 @@ def _substitute(
     for base, z in sorted(bases.items()):
         if z and base in refused:
             raise RatioError(refused[base])
-        # Normal-form factors join the prefix values; a symbol without a form stands for itself.
-        key, form_bits, pairs = table.get(base) or ((1, 1), 0, ((base, 1),))
+        # Normal-form factors join the prefix values.
+        n, d, form_bits, pairs = _table_entry(table, base)
         bits += abs(z) * form_bits
-        values[key] = values.get(key, 0) + z
+        values[n, d] = values.get((n, d), 0) + z
         for symbol, e in pairs:
             expanded[symbol] = expanded.get(symbol, 0) + e * z
     ratio_check_bits(bits, "rewritten factor")
-    numerator = denominator = 1
-    for (n, d), e in values.items():
-        numerator *= n**e if e > 0 else d**-e
-        denominator *= d**e if e > 0 else n**-e
-    return numerator, denominator, sorted((symbol, e) for symbol, e in expanded.items() if e)
-
-
-def _remember(
-    system: UnitSystem, table: Mapping[str, _NormalForm], memo: dict[PreUnit, _Factor], preunit: PreUnit
-) -> None:
-    """Memoise a checked factor, unless its bits pass MAX_RATIO_BITS.
-
-    The bits are sum |exponent| * bits(value) over the prefix's symbols,
-    at least what `val` bounds, plus the normal form's.
-    """
-    (numerator, denominator), bits, pairs = table.get(preunit.base) or ((1, 1), 0, ((preunit.base, 1),))
-    bits += sum(abs(e) * ratio_bits(system.base_prefixes[symbol]) for symbol, e in preunit.prefix.items())
-    if bits <= MAX_RATIO_BITS:
-        factor = val(system, preunit.prefix) * Fraction(numerator, denominator)
-        if len(memo) >= MAX_MEMO_IDENTIFIERS:
-            memo.clear()
-        memo[preunit] = (factor.numerator, factor.denominator, bits, pairs)
+    numerator, denominator = _multiply_out(values.items())
+    return numerator, denominator, bits, sorted((symbol, e) for symbol, e in expanded.items() if e)
 
 
 def _normal_forms(
     system: UnitSystem, conversion: DefiningConversion
-) -> tuple[Mapping[str, _NormalForm], Mapping[str, str], dict[PreUnit, _Factor]]:
+) -> tuple[Mapping[str, _Factor], Mapping[str, str], dict[PreUnit, _Factor]]:
     """The fully expanded form of every ruled symbol, compiled once.
 
     For well-founded rules full expansion is a group homomorphism of the
     evaluated root, so each ruled symbol's normal form is its rule's
-    form with its dependencies' normal forms substituted, visited in
-    dependency post-order, under `_substitute`'s bound. A normal form
-    past that bound, or whose rule factor is, is left out of the table;
-    its symbol, and every symbol that depends on it, maps instead to the
-    refusal that a conversion reaching it raises. Raises any other error
-    a rule's evaluation raised, and NotWellDefiningError on cyclic rules.
+    form with its dependencies' normal forms substituted, visited in the
+    dependency post-order the compiled rules keep, under `_substitute`'s
+    bound. A normal form past that bound, or whose rule factor is, is
+    left out of the table; its symbol, and every symbol that depends on
+    it, maps instead to the refusal that a conversion reaching it raises.
+    Raises any other error a rule's evaluation raised, and
+    NotWellDefiningError on cyclic rules. Returns the table, the refused
+    symbols and the factor memo, empty until `_expand` fills it.
     """
     compiled = _compile(system, conversion)
     if compiled.table is not None:
         return compiled.table, compiled.refused, compiled.memo
-    cycle, order = _walk(compiled.forms)
-    if cycle is not None:
-        raise NotWellDefiningError(cycle)
-    table: dict[str, _NormalForm] = {}
+    if compiled.cycle is not None:
+        raise NotWellDefiningError(compiled.cycle)
+    table: dict[str, _Factor] = {}
     refused: dict[str, str] = {}
-    for base in order:
+    for base in compiled.order:
         factor, pairs, _ = compiled.forms[base]
         reached = [refused[symbol] for symbol, _ in pairs if symbol in refused]
         if reached:
@@ -493,14 +487,15 @@ def _normal_forms(
         try:
             if isinstance(factor, Exception):
                 raise factor.with_traceback(None)
-            numerator, denominator, expanded = _substitute(
+            numerator, denominator, _, expanded = _substitute(
                 table, refused, {(factor.numerator, factor.denominator): 1}, dict(pairs)
             )
         except RatioError:
             refused[base] = f"normal form of {base!r} is too large: over MAX_RATIO_BITS = {MAX_RATIO_BITS} bits"
             continue
         factor = Fraction(numerator, denominator)
-        table[base] = ((factor.numerator, factor.denominator), 0 if factor == 1 else ratio_bits(factor), expanded)
+        bits = 0 if factor == 1 else ratio_bits(factor)
+        table[base] = (factor.numerator, factor.denominator, bits, expanded)
     compiled.table, compiled.refused, compiled.memo = table, refused, {}
     return table, refused, compiled.memo
 
@@ -516,7 +511,7 @@ def rwr_star(system: UnitSystem, conversion: DefiningConversion, unit: Unit) -> 
     and RatioError naming the symbol when the unit reaches a ruled
     symbol whose normal form passes MAX_RATIO_BITS.
     """
-    numerator, denominator, pairs = _expand(system, *_normal_forms(system, conversion), unit)
+    numerator, denominator, _, pairs = _expand(system, *_normal_forms(system, conversion), unit)
     return EvaluatedUnit(Fraction(numerator, denominator), ExponentMap._canonical(tuple(pairs)))
 
 
@@ -532,13 +527,13 @@ def convert(
     its prefix values plus sum |exponent| * bits over the normal-form
     factors substituted; past MAX_RATIO_BITS RatioError is raised. Like
     `val`'s, the bound over-estimates, so a few units whose factors would
-    cancel are refused too. A factor
-    met before, such as `km`, is expanded once per rule set and then read
-    from a memo; the answers and the refusals are the same either way.
+    cancel are refused too. A factor met before, such as `km`, is expanded
+    alone once per rule set, by the same walk, and then read from a memo;
+    the answers and the refusals are the same either way.
     """
     compiled = _normal_forms(system, conversion)
-    source_numerator, source_denominator, source_root = _expand(system, *compiled, source)
-    target_numerator, target_denominator, target_root = _expand(system, *compiled, target)
+    source_numerator, source_denominator, _, source_root = _expand(system, *compiled, source)
+    target_numerator, target_denominator, _, target_root = _expand(system, *compiled, target)
     if source_root != target_root:
         return None
     return Fraction(source_numerator * target_denominator, source_denominator * target_numerator)

@@ -31,7 +31,7 @@ from .abelian import (
     em_map,
     em_mul,
 )
-from .numeric import ONE, ratio_check_bits, ratio_inv, ratio_mul
+from .numeric import ONE, _multiply_out, ratio_check_bits, ratio_inv, ratio_mul
 
 __all__ = [
     "AbstractUnit",
@@ -274,13 +274,7 @@ def val(system: UnitSystem, prefix: Prefix) -> Fraction:
     ratio_check_bits(
         sum(abs(z) * max(n.bit_length(), d.bit_length()) for (n, d), z in powers.items()), "prefix value"
     )
-    numerator = denominator = 1
-    for (n, d), z in powers.items():
-        if z < 0:
-            n, d, z = d, n, -z
-        numerator *= n**z
-        denominator *= d**z
-    return Fraction(numerator, denominator)
+    return Fraction(*_multiply_out(powers.items()))
 
 
 def pval(system: UnitSystem, unit: Unit) -> Fraction:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from typing import Iterable
 
 __all__ = [
     "MAX_RATIO_BITS",
@@ -56,6 +57,15 @@ def ratio_check_bits(bits: int, what: str) -> None:
     """Raise RatioError naming the limit when `bits` exceeds MAX_RATIO_BITS."""
     if bits > MAX_RATIO_BITS:
         raise RatioError(f"{what} is too large: over MAX_RATIO_BITS = {MAX_RATIO_BITS} bits")
+
+
+def _multiply_out(powers: Iterable[tuple[tuple[int, int], int]]) -> tuple[int, int]:
+    """The product of ratio powers ((numerator, denominator), exponent), as an unreduced numerator and denominator."""
+    numerator = denominator = 1
+    for (n, d), z in powers:
+        numerator *= n**z if z > 0 else d**-z
+        denominator *= d**z if z > 0 else n**-z
+    return numerator, denominator
 
 
 def _checked(a: Fraction, what: str) -> Fraction:

@@ -16,10 +16,9 @@ import os
 import re
 import unicodedata
 from fractions import Fraction
-from functools import partial
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional
+from typing import Any, Iterable, Mapping, NamedTuple, Optional
 
 from .abelian import ExponentMap, em_empty
 from .convert import DefiningConversion, RuleError, _check_rule, _freeze, _require_defining
@@ -143,9 +142,6 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-# Turns an identifier token, given its position, into the generator it names.
-Resolver = Callable[[str, int], Any]
-
 _EXPONENT_DIGITS = len(str(MAX_UNIT_EXPONENT))  # an exponent literal with more is refused unread
 
 # Cuts text at its operators, keeping them: '*', '/', '(', ')', and each '^'
@@ -168,13 +164,13 @@ def _preunit_order(item: tuple[PreUnit, int]) -> tuple[str, Prefix]:
     return item[0].base, item[0].prefix  # PreUnit's order, compared without `PreUnit.__lt__`
 
 
-def _parse_expression(expression: str, resolver: Resolver, system: Optional[UnitSystem] = None) -> ExponentMap:
+def _parse_expression(expression: str, system: Optional[UnitSystem] = None) -> ExponentMap:
     """Parse expression text over the grammar above, in one walk over the pieces between its operators.
 
-    The resolver turns an identifier, given its position, into a generator;
-    given a `system`, it is called as `resolver(system, identifier, position)`
-    and yields PreUnits. Each piece must be blank or one token: an identifier
-    or `1` where an atom is due, an integer after a `^`. A term's pairs, the
+    Given a `system`, an identifier resolves to a PreUnit through
+    `_resolve_identifier`; without one, as in a dimension column, it stands
+    for itself. Each piece must be blank or one token: an identifier or
+    `1` where an atom is due, an integer after a `^`. A term's pairs, the
     slice of one list from where it starts, are scaled by its `^n` and negated
     after a `/` when it ends; each `(` stacks the start and sign of the term
     it opens. The exponents are summed in one dict at the end, so parsing is
@@ -201,8 +197,7 @@ def _parse_expression(expression: str, resolver: Resolver, system: Optional[Unit
             elif due == "number" and (power := _SHORT_EXPONENTS.get(word)) is not None:
                 sign *= power
             elif due == "atom" and _IDENT_RE.fullmatch(word):
-                position = end - len(piece.lstrip())
-                generator = resolver(word, position) if system is None else resolver(system, word, position)
+                generator = word if system is None else _resolve_identifier(system, word, end - len(piece.lstrip()))
             elif due == "number" and _NUMBER_RE.fullmatch(word):
                 sign *= _exponent(word, end - len(piece.lstrip()))
             elif due == "atom" and not word and operator == "(":
@@ -212,8 +207,7 @@ def _parse_expression(expression: str, resolver: Resolver, system: Optional[Unit
                 start, sign = len(pairs), 1
                 continue
             elif (due != "atom" or word != "1") and (due != "operator" or word):
-                resolve = resolver if system is None else partial(resolver, system)  # only where parsing fails
-                raise _fault(due, piece, operator, offset, bool(open_terms), resolve)
+                raise _fault(due, piece, operator, offset, bool(open_terms), system)
             if operator == "^" and due != "number":
                 due = "number"
                 continue
@@ -239,7 +233,9 @@ def _parse_expression(expression: str, resolver: Resolver, system: Optional[Unit
     return ExponentMap._canonical(tuple(items))  # from a list: a tuple made from an iterator raised peak RSS
 
 
-def _fault(expected: str, piece: str, operator: str, offset: int, nested: bool, resolve: Any = None) -> UnitSyntaxError:
+def _fault(
+    expected: str, piece: str, operator: str, offset: int, nested: bool, system: Optional[UnitSystem] = None
+) -> UnitSyntaxError:
     """The fault in a piece and its operator, where the walk expected an "atom", a "number" or an "operator".
 
     A first token that fits is taken as the walk takes it, so that its own error comes first.
@@ -248,10 +244,10 @@ def _fault(expected: str, piece: str, operator: str, offset: int, nested: bool, 
     tokens[-1] = (operator, operator, len(piece))
     kind, word, position = tokens[0]
     if (expected == "atom" and (kind == "ident" or word == "1")) or (expected == "number" and kind == "number"):
-        if kind == "ident":
-            resolve(word, offset + position)
-        elif expected == "number":
+        if expected == "number":
             _exponent(word, offset + position)
+        elif kind == "ident" and system is not None:
+            _resolve_identifier(system, word, offset + position)
         expected, (kind, word, position) = "operator", tokens[1]
     found = word or "end of input"
     if expected == "atom":
@@ -377,7 +373,7 @@ def parse_unit(system: UnitSystem, text: str) -> Unit:
     NFKC-normalized first, so e.g. the micro sign and the ohm sign match
     their Greek-letter registry spellings.
     """
-    return _parse_expression(text, _resolve_identifier, system)
+    return _parse_expression(text, system)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +524,7 @@ def parse_document(text: str) -> RegistryDocument:
             seen["units"].add(symbol)
             expression = line[len(fields[0]):].strip()
             try:
-                dimension = _parse_expression(expression, lambda ident, pos: ident)
+                dimension = _parse_expression(expression)
             except UnitSyntaxError as error:
                 raise RegistryError(f"bad dimension expression: {error}", number) from None
             units.append(_UnitEntry(symbol, dimension, number))

@@ -53,6 +53,9 @@ def test_constructor_rejects_non_integer_exponents():
             ExponentMap({"a": exponent})
         with pytest.raises(TypeError):
             ExponentMap([("a", exponent)])
+        with pytest.raises(TypeError) as info:
+            em_pow(ExponentMap({"a": 1}), exponent)
+        assert str(info.value) == f"exponent must be an integer, got {exponent!r}"
 
 
 @given(st.randoms(use_true_random=False), st.integers(-3, 3))

@@ -258,6 +258,18 @@ def test_an_oversized_normal_form_refuses_only_the_conversions_that_reach_it(cap
     assert code == 0 and out.splitlines()[-1] == "fixpoint: (2, z)"
 
 
+def test_explain_reports_its_own_pass_past_the_ratio_limit(capsys, tmp_path):
+    # x's normal form is 1 * z, but one pass raises x^3 to 2^18000 * y^3.
+    registry = tmp_path / "steep.reg"
+    registry.write_text("[units]\nx L\ny L\nz L\n[rules]\nx 2^6000 y\ny 2^-6000 z\n", encoding="utf-8")
+    registries = ("--registry", "si", "--registry", str(registry))
+    code, out, err = run_within_a_second(capsys, "explain", "x^3", *registries)
+    assert code == 2 and not out
+    assert err == "error: rewritten factor is too large: over MAX_RATIO_BITS = 14000 bits\n"
+    code, out, _ = run_within_a_second(capsys, "convert", "x^3", "z^3", *registries)
+    assert code == 0 and out.splitlines()[0] == "ratio: 1"
+
+
 def test_importing_the_cli_loads_no_dataclass_machinery():
     # -S keeps site hooks out, so only what the probe imports, and what a
     # command that reads a bundled registry loads, is counted. Only

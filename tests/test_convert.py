@@ -3,6 +3,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -105,6 +106,11 @@ def test_defining_conversion_rejects_bad_ratio():
         defining_conversion(SI, {"N": (Fraction(0), bare("N"))})
     with pytest.raises(RuleError):
         defining_conversion(SI, {"N": (Fraction(-2), bare("N"))})
+    with pytest.raises(RuleError, match=r"^not a positive rational ratio: True$"):
+        defining_conversion(SI, {"N": (True, bare("N"))})
+    # An int ratio is taken as the Fraction it equals.
+    ratio = defining_conversion(SI, {"N": (1000, bare("N"))}).rules["N"][0]
+    assert type(ratio) is Fraction and ratio == 1000
 
 
 def test_defining_conversion_rejects_unknown_replacement_symbol():
@@ -955,6 +961,23 @@ def test_a_warm_factor_memo_agrees_with_fresh_rules_on_si_uk():
     assert as_preunit_of(system, "lb") in memo and as_preunit_of(system, "Ym") in memo
     for unknown in (PreUnit(em_empty(), "qq"), PreUnit(ExponentMap({"qq": 1}), "m"), odd):
         assert unknown not in memo
+
+
+def test_each_memo_entry_is_its_factor_expanded_alone():
+    system, rules = load_registry(bundled_registry("si"), bundled_registry("uk"))
+    rng = random.Random(17)
+    for _ in range(200):
+        convert(system, rules, random_unit(rng, system), random_unit(rng, system))
+    compiled = rules._compiled
+    assert len(compiled.memo) > 100
+    for preunit, (numerator, denominator, _, pairs) in compiled.memo.items():
+        expected = rwr_star(system, DefiningConversion(dict(rules.rules)), em_delta(preunit))
+        assert Fraction(numerator, denominator) == expected.factor and gcd(numerator, denominator) == 1, preunit
+        assert ExponentMap(pairs) == expected.root, preunit
+        if preunit.base in compiled.table:
+            assert pairs is compiled.table[preunit.base][3], preunit
+        else:
+            assert pairs == ((preunit.base, 1),), preunit
 
 
 def test_a_warm_factor_memo_agrees_with_fresh_rules_on_a_refused_normal_form():

@@ -193,6 +193,8 @@ def test_system_validates_prefix_values():
 def test_system_validates_unit_dimensions():
     with pytest.raises(UnknownSymbolError, match=r"^unit 'm' uses unregistered dimension 'Q'$"):
         UnitSystem(frozenset({"L"}), {}, {"m": em_delta("Q")})
+    with pytest.raises(ValueError, match=r"^unit 'm' must carry an exponent-map dimension$"):
+        UnitSystem(frozenset({"L"}), {}, {"m": "L"})
 
 
 def test_system_equality_and_longest_symbols():
@@ -249,6 +251,8 @@ def test_val_and_pval():
     assert val(SI, em_empty()) == 1
     u = unit_of(("g", 1, {"μ": 1, "k": 1}))
     assert pval(SI, u) == Fraction(1, 1000)
+    with pytest.raises(UnknownSymbolError, match=r"^unknown prefix 'qq'$"):
+        val(SI, ExponentMap({"qq": 1}))
 
 
 def test_val_refuses_words_past_the_ratio_limit_before_the_power():
@@ -305,6 +309,8 @@ def test_dim_and_dim_root():
     assert dim(SI, bare("N")) == ExponentMap({"L": 1, "M": 1, "T": -2})
     assert dim_root(SI, ExponentMap({"m": 1, "s": -1})) == ExponentMap({"L": 1, "T": -1})
     assert dim(SI, unit_of(("g", 1, {"k": 1}))) == em_delta("M")
+    with pytest.raises(UnknownSymbolError, match=r"^unknown base unit 'qq'$"):
+        dim_root(SI, ExponentMap({"qq": 1}))
 
 
 def test_abstract_combines_factor_and_dimension():

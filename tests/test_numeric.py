@@ -43,6 +43,8 @@ def test_parse_decimal():
     assert ratio_parse("453.59237") == Fraction(45359237, 100000)
     assert ratio_parse("0.001") == Fraction(1, 1000)
     assert ratio_parse("5.0") == Fraction(5)
+    with pytest.raises(RatioError, match=r"^ratio must be positive: '0\.0'$"):
+        ratio_parse("0.0")
 
 
 @pytest.mark.parametrize(
@@ -107,6 +109,10 @@ def test_to_decimal_digit_bounds():
         ratio_to_decimal(Fraction(1, 3), MAX_DECIMAL_DIGITS + 1)
     with pytest.raises(RatioError):
         ratio_to_decimal(Fraction(1, 3), -1)
+    for digits in (1.5, True):
+        with pytest.raises(RatioError) as info:
+            ratio_to_decimal(Fraction(1, 3), digits)
+        assert str(info.value) == f"digits must be an integer, got {digits!r}"
     text, exact = ratio_to_decimal(Fraction(1, 3), MAX_DECIMAL_DIGITS)
     assert len(text) == MAX_DECIMAL_DIGITS + 2 and not exact
 

@@ -91,6 +91,30 @@ def test_parse_document_rejects_duplicates():
         parse_document("[prefixes]\nk 1000\n\nk 1000\n")
     with pytest.raises(RegistryError):
         parse_document("[dimensions]\nL L\n")
+    with pytest.raises(RegistryError, match=r"^line 3: duplicate unit 'm'$"):
+        parse_document("[units]\nm L\nm L\n")
+    with pytest.raises(RegistryError, match=r"^line 3: duplicate rule for 'm'$"):
+        parse_document("[rules]\nm 1 m\nm 1 m\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[dimensions]\nL2\n", "line 2: invalid dimension symbol 'L2'"),
+        ("[prefixes]\nk 1000 x\n", "line 2: prefix lines have the form: symbol value"),
+        ("[units]\nm\n", "line 2: unit lines have the form: symbol dimension-expression"),
+        (
+            "[units]\nm L*\n",
+            "line 2: bad dimension expression: expected a symbol, '(' or 1, found 'end of input' (at position 2)",
+        ),
+        ("[rules]\nm 1\n", "line 2: rule lines have the form: base ratio unit-expression [!pathological]"),
+        ("[rules]\nqq 1 m\n", "line 2: rule for unknown base unit 'qq'"),
+    ],
+)
+def test_a_malformed_registry_line_is_refused_with_its_number(text, message):
+    with pytest.raises(RegistryError) as info:
+        load_registry(bundled_registry("si"), text)
+    assert str(info.value) == message
 
 
 def test_parse_document_rejects_unknown_section():
@@ -249,6 +273,9 @@ def test_read_registry_rejects_an_unknown_item(tmp_path, monkeypatch):
     assert str(info.value) == (
         "registry 'missing-name' is neither a readable file nor one of the bundled names (si, uk)"
     )
+    with pytest.raises(RegistryError) as info:
+        bundled_registry("missing-name")
+    assert str(info.value) == "no bundled registry 'missing-name'; available: si, uk"
 
 
 def test_bundled_tables_have_the_documented_shape():
@@ -370,6 +397,12 @@ def test_print_helpers():
 def test_print_unit_refuses_unregistered_symbols():
     with pytest.raises((ValueError, KeyError)):
         print_unit(SI, em_delta(PreUnit(em_empty(), "cubit")))
+    # `x_y_b` reads as x times the base unit `y_b`, and two prefixes have no compact form.
+    system = UnitSystem({"L"}, {"x": Fraction(2), "y": Fraction(3)}, {"b": em_delta("L"), "y_b": em_delta("L")})
+    preunit = PreUnit(ExponentMap({"x": 1, "y": 1}), "b")
+    with pytest.raises(ValueError) as info:
+        print_unit(system, em_delta(preunit))
+    assert str(info.value) == f"no unambiguous rendering for {preunit!r} in this system"
 
 
 @given(st.randoms(use_true_random=False))
@@ -588,7 +621,7 @@ def assert_the_parsers_agree(text):
         lambda: reference_parse(text, lambda ident, position: em_delta(_resolve_identifier(SIUK, ident, position)))
     )
     # The resolver parse_document passes for dimension expressions.
-    assert _parse_outcome(lambda: _parse_expression(text, lambda ident, position: ident)) == _parse_outcome(
+    assert _parse_outcome(lambda: _parse_expression(text)) == _parse_outcome(
         lambda: reference_parse(text, lambda ident, position: em_delta(ident))
     )
 
@@ -624,7 +657,7 @@ def test_the_one_loop_parser_matches_the_recursive_descent_reference(text):
 @given(st.one_of(PARSER_TEXTS, EXPRESSION_TREES.map(lambda tree: render_tree(tree)[0])))
 def test_a_parsed_map_is_canonical(text):
     # The parser builds its map without the constructor's checks; rebuilding it through them changes nothing.
-    for parse in (lambda: parse_unit(SIUK, text), lambda: _parse_expression(text, lambda ident, position: ident)):
+    for parse in (lambda: parse_unit(SIUK, text), lambda: _parse_expression(text)):
         try:
             result = parse()
         except UnitSyntaxError:
