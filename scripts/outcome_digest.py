@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Digest every outcome of unit text through rwr_star and convert, and of rule sets through classify.
+"""Digest every outcome of unit text through rwr_star and convert, of rule sets through classify, and of the CLI.
 
 Each case is unit text parsed with `parse_unit` and fully expanded with
 `rwr_star`; a pair of texts parsed and converted with `convert`; or a
@@ -19,7 +19,12 @@ and seeded random texts over si and over si+uk. The rule-set cases are the
 benchmark's `classify_cycles` registries (seeds 1-3); the bundled and
 boundary registries; and seeded random cyclic mappings from
 `tests/support.py`, consistent, inconsistent and changing dimension,
-each classified as a mapping and as a DefiningConversion.
+each classified as a mapping and as a DefiningConversion. The CLI cases
+are argument lists run through `unical.cli.main` in this process, each
+outcome its exit code, stdout and stderr: every command in both formats,
+every help page, usage errors, and each exit code. They run with
+COLUMNS=80, from a temporary directory holding their registry files, so
+help text and error messages do not depend on the terminal or the path.
 
     PYTHONPATH=src python3 scripts/outcome_digest.py [--pool-size N] [--random N]
 """
@@ -27,12 +32,17 @@ each classified as a mapping and as a DefiningConversion.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import itertools
+import os
 import random
 import runpy
+import tempfile
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 from unical import (
     ClassificationReport,
@@ -41,6 +51,7 @@ from unical import (
     EvaluatedUnit,
     bundled_registry,
     classify,
+    cli,
     convert,
     load_registry,
     parse_unit,
@@ -95,6 +106,58 @@ DEFERRED = "[units]\nx L^600\n[rules]\nx 1 Ym^600\n"
 REGISTRY_EXTRAS = [
     (), ("uk",), (OVERSIZED,), (DEFERRED,), ("[rules]\ns 2 Hz^-1\n",), ("[rules]\ns 1 Hz^-1\n",),
     ("[rules]\nm 1 s\nA 1 m\n",), ("[units]\nx L^600\n[rules]\nx 1 Ym^600\nm 1 x\n",),
+]
+
+# Registry files for the CLI cases, written into the directory they run from.
+CLI_REGISTRIES = {
+    "litre.reg": b"[units]\nL L^3\n[rules]\nL 1 dm^3\n",
+    "cyclic.reg": b"[dimensions]\nD\n[units]\na D\nb D\n[rules]\na 2 b\nb 3 a\n",
+    "steep.reg": b"[units]\nx L\ny L\nz L\n[rules]\nx 2^6000 y\ny 2^-6000 z\n",
+    "latin1.reg": "[units]\nx L\n# caf\u00e9\n".encode("latin-1"),
+    "malformed.reg": b"[units]\nx\n",
+    "unknown.reg": b"[rules]\nqq 1 m\n",
+}
+SIUK = ("--registry", "si", "--registry", "uk")
+STEEP = ("--registry", "si", "--registry", "steep.reg")
+# Each case is an argument list and the value of UNICAL_REGISTRY, or None to leave it unset.
+CLI_CASES = [
+    *(
+        (argv + form, None)
+        for argv in (
+            ["convert", "lb*g_n", "N", *SIUK], ["convert", "m", "s"], ["norm", "k_g*ms^-1"], ["eval", "Mi_m/k_s"],
+            ["eval", "L", "--registry", "si", "--registry", "litre.reg"], ["dim", "J/s"], ["explain", "kJ/s"],
+            ["classify"], ["classify", "--registry", "cyclic.reg"], ["list", "units", *SIUK], ["list", "prefixes"],
+            ["list", "dimensions"],
+        )
+        for form in ([], ["--format", "plain"], ["--format", "structured"])
+    ),
+    *(
+        ([*command, "--help"], None)
+        for command in ([], ["convert"], ["norm"], ["eval"], ["dim"], ["explain"], ["classify"], ["list"])
+    ),
+    (["-h"], None), (["list", "-h"], None),
+    ([], None), (["convert"], None), (["convert", "m"], None), (["convert", "m", "km", "s"], None),
+    (["norm"], None), (["eval"], None), (["dim"], None), (["explain"], None), (["list"], None),
+    (["norm", "m", "s"], None), (["classify", "m"], None), (["list", "units", "prefixes"], None),
+    (["frobnicate", "m"], None), (["--registry", "si"], None), (["list", "things"], None),
+    (["convert", "m", "km", "--format", "xml"], None), (["convert", "m", "km", "--digits", "many"], None),
+    *(
+        ([command, unit, *target, "--digits", digits], None)
+        for digits in ("-1", "0", "50", "51")
+        for command, unit, *target in (("convert", "m", "km"), ("eval", "Mi_m/k_s"))
+    ),
+    (["explain", "rad"], None), (["explain", "rad", "--no-pathological-rules"], None),
+    (["classify", "--no-pathological-rules"], None),
+    (["convert", "lb", "g"], f"si{os.pathsep}uk"), (["convert", "lb", "g"], None), (["convert", "lb", "g"], ""),
+    (["convert", "lb", "g", "--registry", "si"], f"si{os.pathsep}uk"), (["eval", "L"], f"si{os.pathsep}litre.reg"),
+    (["convert", "a", "b", "--registry", "cyclic.reg"], None), (["explain", "a", "--registry", "cyclic.reg"], None),
+    (["convert", "m*", "m"], None), (["norm", "(m"], None), (["dim", "qq"], None), (["eval", "Ym^176"], None),
+    (["convert", "lb^539", "g^539", *SIUK], None),
+    (["convert", "m*", "a", "--registry", "cyclic.reg"], None),
+    (["list", "units", "--registry", "missing.reg"], None), (["dim", "m", "--registry", "latin1.reg"], None),
+    (["classify", "--registry", "malformed.reg"], None), (["classify", "--registry", "unknown.reg"], None),
+    (["list", "units", "--registry", "unknown.reg"], None),
+    (["explain", "x^3", *STEEP], None), (["convert", "x^3", "z^3", *STEEP], None),
 ]
 
 SYMBOLS = ["m", "g", "s", "A", "K", "N", "J", "W", "Hz", "Ω", "lb", "lbf", "pt", "g_n", "qq"]
@@ -166,6 +229,35 @@ def classify_outcomes(registries, mappings):
         yield f"classify conversion {index}: " + outcome(lambda: classify(system, DefiningConversion(rules)))
 
 
+def cli_outcome(argv: list[str]) -> str:
+    """One argument list through the CLI: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as stop:  # argparse's usage errors and help pages
+            code = stop.code
+    return f"exit {code!r} stdout {out.getvalue()!r} stderr {err.getvalue()!r}"
+
+
+def cli_outcomes(cases):
+    """The outcome of each (argument list, UNICAL_REGISTRY) case, run from a directory of CLI_REGISTRIES."""
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as directory, mock.patch.dict(os.environ, COLUMNS="80"):
+        os.chdir(directory)
+        try:
+            for name, data in CLI_REGISTRIES.items():
+                Path(name).write_bytes(data)
+            for argv, registries in cases:
+                if registries is None:
+                    os.environ.pop(cli.REGISTRY_ENV_VAR, None)
+                else:
+                    os.environ[cli.REGISTRY_ENV_VAR] = registries
+                yield f"cli {argv!r} {registries!r}: " + cli_outcome(argv)
+        finally:
+            os.chdir(home)
+
+
 def rule_mappings(rng: random.Random, count: int) -> list:
     """A cycle through DEFERRED's `x`, then `count` seeded random cyclic mappings."""
     system, rules = load_registry(bundled_registry("si"), DEFERRED)
@@ -203,6 +295,7 @@ def main() -> None:
     registries += [(case["registry"],) for seed in (1, 2, 3) for block in cycle_blocks(seed) for case in block]
     streams = [outcomes(system, rules, pairs) for (system, rules), pairs in cases]
     streams.append(classify_outcomes(registries, rule_mappings(random.Random(1), args.random)))
+    streams.append(cli_outcomes(CLI_CASES))
     digest = hashlib.sha256()
     count = 0
     for line in itertools.chain.from_iterable(streams):

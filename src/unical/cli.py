@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from fractions import Fraction
 from typing import Optional
 
 from .abelian import em_inv, em_mul
@@ -61,6 +62,20 @@ _INPUT_ERRORS = (RegistryError, UnitSyntaxError, UnknownSymbolError, RatioError,
 Outcome = tuple[int, dict, list[str]]
 
 
+def _ratio(name: str, ratio: Fraction, digits: int) -> tuple[dict, list[str]]:
+    """A ratio's fields (`name`, its numerator and denominator, and its decimal) and plain lines."""
+    decimal, exact = ratio_to_decimal(ratio, digits)
+    text = ratio_text(ratio)
+    fields = {
+        name: text,
+        f"{name}_num": ratio.numerator,
+        f"{name}_den": ratio.denominator,
+        "decimal": decimal,
+        "decimal_exact": exact,
+    }
+    return fields, [f"{name}: {text}", f"decimal: {decimal}", f"exact: {'yes' if exact else 'no'}"]
+
+
 def _convert(system: UnitSystem, rules: DefiningConversion, args: argparse.Namespace) -> Outcome:
     # Both units are parsed before either is rewritten, so a syntax error
     # wins over cyclic rules.
@@ -75,30 +90,11 @@ def _convert(system: UnitSystem, rules: DefiningConversion, args: argparse.Names
         fields = {"source_root": root, "target_root": target_root, "difference": difference}
         lines = [f"source root: {root}", f"target root: {target_root}", f"difference: {difference}"]
         return EXIT_NOT_CONVERTIBLE, {"convertible": False, **fields}, ["not convertible", *lines]
-    ratio = expanded_source.factor / expanded_target.factor
-    decimal, exact = ratio_to_decimal(ratio, args.digits)
-    text = ratio_text(ratio)
+    fields, lines = _ratio("ratio", expanded_source.factor / expanded_target.factor, args.digits)
     source_text = print_evaluated(system, expanded_source)
     target_text = print_evaluated(system, expanded_target)
-    fields = {
-        "convertible": True,
-        "ratio": text,
-        "ratio_num": ratio.numerator,
-        "ratio_den": ratio.denominator,
-        "decimal": decimal,
-        "decimal_exact": exact,
-        "root": root,
-        "source": source_text,
-        "target": target_text,
-    }
-    lines = [
-        f"ratio: {text}",
-        f"decimal: {decimal}",
-        f"exact: {'yes' if exact else 'no'}",
-        f"source: {source_text}",
-        f"target: {target_text}",
-    ]
-    return EXIT_OK, fields, lines
+    fields.update(convertible=True, root=root, source=source_text, target=target_text)
+    return EXIT_OK, fields, [*lines, f"source: {source_text}", f"target: {target_text}"]
 
 
 def _norm(system: UnitSystem, rules: DefiningConversion, args: argparse.Namespace) -> Outcome:
@@ -115,25 +111,10 @@ def _norm(system: UnitSystem, rules: DefiningConversion, args: argparse.Namespac
 
 def _eval(system: UnitSystem, rules: DefiningConversion, args: argparse.Namespace) -> Outcome:
     evaluated = evaluate(system, parse_unit(system, args.unit))
-    decimal, exact = ratio_to_decimal(evaluated.factor, args.digits)
-    factor = ratio_text(evaluated.factor)
+    fields, lines = _ratio("factor", evaluated.factor, args.digits)
     root = print_root(evaluated.root)
-    fields = {
-        "factor": factor,
-        "factor_num": evaluated.factor.numerator,
-        "factor_den": evaluated.factor.denominator,
-        "decimal": decimal,
-        "decimal_exact": exact,
-        "root": root,
-        "evaluated": print_evaluated(system, evaluated),
-    }
-    lines = [
-        f"factor: {factor}",
-        f"decimal: {decimal}",
-        f"exact: {'yes' if exact else 'no'}",
-        f"root: {root}",
-    ]
-    return EXIT_OK, fields, lines
+    fields.update(root=root, evaluated=print_evaluated(system, evaluated))
+    return EXIT_OK, fields, [*lines, f"root: {root}"]
 
 
 def _dim(system: UnitSystem, rules: DefiningConversion, args: argparse.Namespace) -> Outcome:
@@ -215,16 +196,18 @@ def _list(system: UnitSystem, rules: DefiningConversion, args: argparse.Namespac
     return EXIT_OK, {"kind": args.kind, "entries": entries}, entries
 
 
-# Each command's body, and whether it reads the rules: the others run
-# without building them, so a bad rule cannot fail them.
+# Each command, in help order: its body; whether it reads the rules (the
+# others run without building them, so a bad rule cannot fail them); its
+# positional arguments, each with its choices or None for free text; and
+# its help text.
 _COMMANDS = {
-    "convert": (_convert, True),
-    "norm": (_norm, False),
-    "eval": (_eval, False),
-    "dim": (_dim, False),
-    "classify": (_classify, True),
-    "explain": (_explain, True),
-    "list": (_list, False),
+    "convert": (_convert, True, {"source": None, "target": None}, "conversion factor between two units"),
+    "norm": (_norm, False, {"unit": None}, "prefix word and root of a unit"),
+    "eval": (_eval, False, {"unit": None}, "exact scale factor and root of a unit"),
+    "dim": (_dim, False, {"unit": None}, "dimension of a unit"),
+    "explain": (_explain, True, {"unit": None}, "trace rewriting steps to the fixpoint"),
+    "classify": (_classify, True, {}, "classify the loaded rule set"),
+    "list": (_list, False, {"kind": ("units", "prefixes", "dimensions")}, "list registered symbols"),
 }
 
 
@@ -258,20 +241,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    convert = commands.add_parser("convert", parents=[shared], help="conversion factor between two units")
-    convert.add_argument("source")
-    convert.add_argument("target")
-    for name, help_text in (
-        ("norm", "prefix word and root of a unit"),
-        ("eval", "exact scale factor and root of a unit"),
-        ("dim", "dimension of a unit"),
-        ("explain", "trace rewriting steps to the fixpoint"),
-    ):
-        sub = commands.add_parser(name, parents=[shared], help=help_text)
-        sub.add_argument("unit")
-    commands.add_parser("classify", parents=[shared], help="classify the loaded rule set")
-    listing = commands.add_parser("list", parents=[shared], help="list registered symbols")
-    listing.add_argument("kind", choices=("units", "prefixes", "dimensions"))
+    for name, (_, _, positionals, help_text) in _COMMANDS.items():
+        command = commands.add_parser(name, parents=[shared], help=help_text)
+        for positional, choices in positionals.items():
+            command.add_argument(positional, choices=choices)
     return parser
 
 
@@ -284,7 +257,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     if not 0 <= args.digits <= MAX_DECIMAL_DIGITS:
         print(f"error: --digits must be between 0 and {MAX_DECIMAL_DIGITS}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    body, reads_rules = _COMMANDS[args.command]
+    body, reads_rules, _, _ = _COMMANDS[args.command]
     try:
         texts = [read_registry(item) for item in registries]
         document = merge_documents(parse_document(text) for text in texts)

@@ -158,10 +158,14 @@ class _Compiled:
 
 
 def _check_rule(system: UnitSystem, base: str, rule: tuple) -> tuple[tuple[Fraction, Unit], _RuleForm]:
-    """Check the shape of one rule and compile its form, raising as `dim` would.
+    """Check the shape of one rule and compile its form.
 
-    An error evaluating the replacement, such as a prefix value past
-    MAX_RATIO_BITS, is kept in the form, for the callers that need it.
+    Raises for an unknown base unit, a ratio that is not positive, a
+    replacement that is not a unit or that has a generator which is not a
+    PreUnit (as `evaluate` raises), and a replacement over an unknown base
+    unit. Any other error evaluating the replacement, such as an unknown
+    prefix or a prefix value past MAX_RATIO_BITS, is kept in the form, for
+    the callers that need it.
     """
     ratio, replacement = rule
     if base not in system.base_units:
@@ -176,6 +180,8 @@ def _check_rule(system: UnitSystem, base: str, rule: tuple) -> tuple[tuple[Fract
         numerator, denominator, _, pairs = _expand(system, {}, {}, None, replacement)
         factor = Fraction(ratio.numerator * numerator, ratio.denominator * denominator)
     except (RatioError, UnknownSymbolError, TypeError) as error:  # what `evaluate` raises
+        if not all(isinstance(preunit, PreUnit) for preunit in replacement):
+            raise  # without PreUnit generators the replacement has no root to check
         factor, pairs = error, root(replacement).items()
     dimension: dict[str, int] = {}
     for symbol, z in pairs:

@@ -390,6 +390,35 @@ def test_argparse_rejects_missing_command():
     assert info.value.code == 2
 
 
+def run_exiting(capsys, *argv):
+    """Run argv through main, which argparse ends by SystemExit."""
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return info.value.code, captured.out, captured.err
+
+
+# Only these parts of argparse's pages are pinned: their layout differs between Python versions.
+def test_help_lists_the_commands_in_order(capsys):
+    code, out, _ = run_exiting(capsys, "--help")
+    assert code == 0 and "{convert,norm,eval,dim,explain,classify,list}" in out
+
+
+@pytest.mark.parametrize(
+    "command, positionals", [("convert", "source target"), ("list", "{units,prefixes,dimensions}")]
+)
+def test_a_command_usage_ends_in_its_positional_arguments(capsys, command, positionals):
+    code, out, _ = run_exiting(capsys, command, "--help")
+    usage = " ".join(out.split("\n\n")[0].split())
+    assert code == 0 and usage.startswith(f"usage: unical {command} ") and usage.endswith(positionals)
+
+
+@pytest.mark.parametrize("command, missing", [("convert", "source, target"), ("norm", "unit"), ("list", "kind")])
+def test_a_command_without_its_arguments_exits_two_naming_them(capsys, command, missing):
+    code, out, err = run_exiting(capsys, command)
+    assert code == 2 and not out and err.splitlines()[-1].endswith(f": {missing}")
+
+
 @pytest.mark.parametrize(
     "text, limit",
     [

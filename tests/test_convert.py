@@ -118,6 +118,17 @@ def test_defining_conversion_rejects_unknown_replacement_symbol():
         defining_conversion(SI, {"N": (Fraction(1), bare("bogus"))})
 
 
+@pytest.mark.parametrize(
+    "check",
+    [defining_conversion, classify, lambda system, rules: analyze(system, DefiningConversion(rules))],
+    ids=["defining_conversion", "classify", "analyze"],
+)
+def test_rule_checks_refuse_a_replacement_whose_generators_are_not_preunits(check):
+    # As `evaluate` refuses the replacement itself.
+    with pytest.raises(TypeError, match="unit generators must be PreUnit values, got 'g'"):
+        check(SI, {"m": (Fraction(1), ExponentMap({"g": 1}))})
+
+
 def test_rule_triples_are_sorted():
     system = dimensionless_system(["a", "b"])
     rules = defining_conversion(

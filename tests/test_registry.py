@@ -620,7 +620,7 @@ def assert_the_parsers_agree(text):
     assert _parse_outcome(lambda: parse_unit(SIUK, text)) == _parse_outcome(
         lambda: reference_parse(text, lambda ident, position: em_delta(_resolve_identifier(SIUK, ident, position)))
     )
-    # The resolver parse_document passes for dimension expressions.
+    # Without a system, an identifier stands for itself, as in dimension expressions.
     assert _parse_outcome(lambda: _parse_expression(text)) == _parse_outcome(
         lambda: reference_parse(text, lambda ident, position: em_delta(ident))
     )
