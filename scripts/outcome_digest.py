@@ -26,7 +26,11 @@ every help page, usage errors, and each exit code. They run with
 COLUMNS=80, from a temporary directory holding their registry files, so
 help text and error messages do not depend on the terminal or the path.
 
-    PYTHONPATH=src python3 scripts/outcome_digest.py [--pool-size N] [--random N]
+With `--dump PATH` each hashed line is also written to PATH, one per
+line and in order, so two dumps can be compared line by line to see
+which outcomes moved.
+
+    PYTHONPATH=src python3 scripts/outcome_digest.py [--pool-size N] [--random N] [--dump PATH]
 """
 
 from __future__ import annotations
@@ -82,6 +86,8 @@ BOUNDARY_TEXTS = [
     ("km s", "m"), ("m^02", "m^2"), ("m^-0", "1"), ("m^+2", "m"), ("m^ -2", "m^-2"), ("m^²", "m^2"), ("m^٣", "m"),
     ("m^9", "m^9"), ("m^-9", "m^-9"), ("m^10", "m^10"), ("m^-10", "m^-10"), ("m ^ 2 /s", "m^2/s"), ("m^2 _s", "m"),
     ("m^-2_s", "s"), ("1^-9", "1"),
+    # Equal integers cancel before the size rule: 10^-600 and 1, each past it summed per value.
+    ("h^-2_N^600", "g^600*m^600*s^-1200"), ("k_m^5000*m_g^5000", "m^5000*g^5000"),
 ]
 
 # `y` has a normal form past MAX_RATIO_BITS, so only units that reach it are refused.
@@ -116,6 +122,7 @@ CLI_REGISTRIES = {
     "latin1.reg": "[units]\nx L\n# caf\u00e9\n".encode("latin-1"),
     "malformed.reg": b"[units]\nx\n",
     "unknown.reg": b"[rules]\nqq 1 m\n",
+    "empty.reg": b"",
 }
 SIUK = ("--registry", "si", "--registry", "uk")
 STEEP = ("--registry", "si", "--registry", "steep.reg")
@@ -158,6 +165,10 @@ CLI_CASES = [
     (["classify", "--registry", "malformed.reg"], None), (["classify", "--registry", "unknown.reg"], None),
     (["list", "units", "--registry", "unknown.reg"], None),
     (["explain", "x^3", *STEEP], None), (["convert", "x^3", "z^3", *STEEP], None),
+    # An empty listing, and the shared options before the command, after it, and on both sides.
+    (["list", "units", "--registry", "empty.reg"], None), (["--format", "structured", "convert", "m", "km"], None),
+    (["--registry", "uk", "convert", "lb", "g", "--registry", "si", "--registry", "uk"], None),
+    (["--digits", "2", "--no-pathological-rules", "eval", "Mi_m/k_s", "--digits", "3"], None),
 ]
 
 SYMBOLS = ["m", "g", "s", "A", "K", "N", "J", "W", "Hz", "Ω", "lb", "lbf", "pt", "g_n", "qq"]
@@ -276,6 +287,7 @@ def main() -> None:
     parser.add_argument(
         "--random", type=int, default=4000, help="random text pairs per registry set, and random rule mappings"
     )
+    parser.add_argument("--dump", metavar="PATH", help="also write each hashed line to PATH, in order")
     args = parser.parse_args()
     gen = runpy.run_path(str(GEN))
     convert_pool, cycle_blocks = gen["convert_pool"], gen["cycle_blocks"]
@@ -298,9 +310,11 @@ def main() -> None:
     streams.append(cli_outcomes(CLI_CASES))
     digest = hashlib.sha256()
     count = 0
-    for line in itertools.chain.from_iterable(streams):
-        digest.update(line.encode("utf-8") + b"\n")
-        count += 1
+    with open(args.dump or os.devnull, "w", encoding="utf-8") as dump:
+        for line in itertools.chain.from_iterable(streams):
+            digest.update(line.encode("utf-8") + b"\n")
+            dump.write(line + "\n")
+            count += 1
     print(f"outcomes: {count}")
     print(f"sha256: {digest.hexdigest()}")
 

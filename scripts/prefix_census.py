@@ -14,11 +14,14 @@ adopted, and the difference shows up here.
 from __future__ import annotations
 
 import argparse
+import sys
 from fractions import Fraction
 from itertools import product
 
 from unical import (
-    bundled_registry,
+    RatioError,
+    RegistryError,
+    UnitSyntaxError,
     em_empty,
     em_delta,
     em_mul,
@@ -28,6 +31,7 @@ from unical import (
     parse_unit,
     prefix_unit,
     print_evaluated,
+    read_registry,
     rwr_star,
 )
 
@@ -43,8 +47,7 @@ def decimal_prefix_exponents(system) -> dict[int, str | None]:
 
 
 def run(registries: list[str], unit: str, legacy_max: int) -> None:
-    texts = [bundled_registry(name) for name in registries]
-    system, rules = load_registry(*texts)
+    system, rules = load_registry(*(read_registry(item) for item in registries))
     target = rwr_star(system, rules, parse_unit(system, unit))
     slots = target.root.items()
     table = decimal_prefix_exponents(system)
@@ -80,7 +83,7 @@ def run(registries: list[str], unit: str, legacy_max: int) -> None:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--registry", action="append", help="bundled registry name (default: si)")
+    parser.add_argument("--registry", action="append", help="registry file or bundled name (default: si)")
     parser.add_argument("--unit", default="hW", help="target unit expression (default: hW)")
     parser.add_argument(
         "--legacy-max",
@@ -89,7 +92,12 @@ def main() -> None:
         help="largest |exponent| in the prefix table before ronna and quetta (default: 24)",
     )
     args = parser.parse_args()
-    run(args.registry or ["si"], args.unit, args.legacy_max)
+    try:
+        run(args.registry or ["si"], args.unit, args.legacy_max)
+    except (RegistryError, OSError, UnitSyntaxError, RatioError) as error:
+        # Reported as the CLI reports bad input, with its exit status.
+        print(f"error: {error}", file=sys.stderr)
+        sys.exit(2)
 
 
 if __name__ == "__main__":

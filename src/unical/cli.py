@@ -212,7 +212,10 @@ _COMMANDS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
+    # The shared options are read before the command and after it. They are
+    # suppressed where not given, so a value after the command wins over one
+    # before it; their defaults are the namespace `main` starts from.
+    shared = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     shared.add_argument(
         "--registry",
         action="append",
@@ -224,12 +227,9 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument(
         "--format",
         choices=("plain", "structured"),
-        default="plain",
         help="output mode (structured prints one JSON object)",
     )
-    shared.add_argument(
-        "--digits", type=int, default=15, metavar="N", help="decimal places for renderings"
-    )
+    shared.add_argument("--digits", type=int, metavar="N", help="decimal places for renderings")
     shared.add_argument(
         "--no-pathological-rules",
         action="store_true",
@@ -237,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     parser = argparse.ArgumentParser(
-        prog="unical", description="Exact unit conversion calculus."
+        prog="unical", description="Exact unit conversion calculus.", parents=[shared]
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -249,7 +249,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    defaults = argparse.Namespace(registry=None, format="plain", digits=15, no_pathological_rules=False)
+    args = _build_parser().parse_args(argv, defaults)
     registries = args.registry
     if not registries:
         env = os.environ.get(REGISTRY_ENV_VAR, "")
@@ -276,7 +277,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
         payload = {"schema": SCHEMA, "command": args.command, **fields}
         print(json.dumps(payload, sort_keys=True, ensure_ascii=False))
-    else:
+    elif lines:
         print("\n".join(lines))
     return code
 

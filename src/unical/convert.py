@@ -35,7 +35,7 @@ from .model import (
     root,
     strip,
 )
-from .numeric import MAX_RATIO_BITS, ONE, RatioError, _multiply_out, ratio_bits, ratio_check_bits, ratio_inv
+from .numeric import MAX_RATIO_BITS, ONE, RatioError, _ratio_product, ratio_inv
 
 __all__ = [
     "ClassificationReport",
@@ -317,38 +317,26 @@ def xpd(system: UnitSystem, conversion: DefiningConversion, base: str) -> tuple[
     return rule
 
 
-def _power_product(powers: list[tuple[Fraction, int]], what: str) -> Fraction:
-    """The product of ratio powers, with `val`'s bound checked first.
-
-    The product has at most sum |exponent| * bits(ratio) bits over the
-    ratios other than one; past MAX_RATIO_BITS that raises RatioError
-    before any power is taken. The bound over-estimates: it ignores
-    cancellation between the ratios.
-    """
-    ratio_check_bits(sum(abs(z) * ratio_bits(r) for r, z in powers if r != 1), what)
-    return Fraction(*_multiply_out(((r.numerator, r.denominator), z) for r, z in powers))
-
-
 def rwr_eval(system: UnitSystem, conversion: DefiningConversion, unit: EvaluatedUnit) -> EvaluatedUnit:
     """Rewrite every base unit in an evaluated unit's root once, in parallel.
 
-    Rule factors are raised to the unit's exponents under `val`'s bound,
-    as in `convert`.
+    Rule factors are raised to the unit's exponents under the one size
+    rule, `numeric._ratio_product`, as in `convert`.
     """
-    powers: list[tuple[Fraction, int]] = []
+    powers: list[tuple[tuple[int, int], int]] = []
     pairs: list[tuple[str, int]] = []
     for base, exponent in unit.root.items():
         ratio, replacement = xpd(system, conversion, base)
         expanded = evaluate(system, replacement)
-        powers.append((ratio * expanded.factor, exponent))
+        powers.append(((ratio * expanded.factor).as_integer_ratio(), exponent))
         pairs.extend((symbol, z * exponent) for symbol, z in expanded.root.items())
-    return EvaluatedUnit(unit.factor * _power_product(powers, "rewritten factor"), ExponentMap(pairs))
+    numerator, denominator, _ = _ratio_product(powers, "rewritten factor")
+    return EvaluatedUnit(unit.factor * Fraction(numerator, denominator), ExponentMap(pairs))
 
 
-# An expanded factor: numerator, denominator, bits and root pairs. `_expand`
-# returns one, unreduced, with the bits it checked. Normal-form table and
-# memo entries are in lowest terms; a normal form's bits are its factor's own
-# (0 for one), a memoised factor's what the walk checked for it alone.
+# An expanded factor: numerator, denominator, the bits `_ratio_product`
+# checked for it, and root pairs. `_expand` returns one unreduced; normal-form
+# table and memo entries are in lowest terms, with the bits of their own walk.
 _Factor = tuple[int, int, int, Sequence[tuple[str, int]]]
 
 
@@ -368,13 +356,14 @@ def _expand(
     Full expansion is a homomorphism, so each factor can be expanded on
     its own. While every factor is in `memo` and the sum of |exponent| *
     bits over them stays within MAX_RATIO_BITS, checked before each
-    power, the memo's entries are multiplied out: by the triangle
-    inequality that sum bounds both of the walk's bounds. Otherwise the
-    unit is walked factor by factor, which decides every refusal and
-    memoises each checked factor whose base is not refused: the walk's
-    own result for that factor alone, in lowest terms, with its base's
-    normal-form pairs, shared with the table. A factor the walk refuses
-    alone is not memoised.
+    power, the memo's entries are multiplied out: each integer's exponent
+    on either side of the walk is at most the sum of |exponent| times its
+    exponent on the matching side of each factor's own walk, so that sum
+    bounds the walk's check. Otherwise the unit is walked factor by
+    factor, which decides every refusal and memoises each checked factor
+    whose base is not refused: the walk's own result for that factor
+    alone, in lowest terms, with its base's normal-form pairs, shared with
+    the table. A factor the walk refuses alone is not memoised.
     """
     if memo:
         numerator = denominator = 1
@@ -395,12 +384,12 @@ def _expand(
         else:
             return numerator, denominator, bits, sorted([(symbol, e) for symbol, e in expanded.items() if e])
     bases: dict[str, int] = {}
-    values: dict[tuple[int, int], int] = {}
+    powers: list[tuple[tuple[int, int], int]] = []
     for preunit, z in unit.items():
         if not isinstance(preunit, PreUnit) or type(preunit.prefix) is not ExponentMap:
             # Outside the Unit type: the reference says what it means, or raises.
             evaluated = evaluate(system, unit)
-            values = {(evaluated.factor.numerator, evaluated.factor.denominator): 1}
+            powers = [(evaluated.factor.as_integer_ratio(), 1)]
             bases = dict(evaluated.root.items())
             break
         if preunit.base not in system.base_units:
@@ -409,8 +398,7 @@ def _expand(
             value = system.base_prefixes.get(symbol)
             if value is None:
                 raise UnknownSymbolError(f"unknown prefix {symbol!r}")
-            key = (value.numerator, value.denominator)
-            values[key] = values.get(key, 0) + e * z
+            powers.append(((value.numerator, value.denominator), e * z))
         bases[preunit.base] = bases.get(preunit.base, 0) + z
         if memo is not None and preunit.base not in refused and preunit not in memo:
             try:
@@ -421,7 +409,7 @@ def _expand(
             if len(memo) >= MAX_MEMO_IDENTIFIERS:
                 memo.clear()
             memo[preunit] = (n // common, d // common, factor_bits, _table_entry(table, preunit.base)[3])
-    return _substitute(table, refused, values, bases)
+    return _substitute(table, refused, powers, bases)
 
 
 def _table_entry(table: Mapping[str, _Factor], base: str) -> _Factor:
@@ -432,32 +420,27 @@ def _table_entry(table: Mapping[str, _Factor], base: str) -> _Factor:
 def _substitute(
     table: Mapping[str, _Factor],
     refused: Mapping[str, str],
-    values: dict[tuple[int, int], int],
+    powers: list[tuple[tuple[int, int], int]],
     bases: dict[str, int],
 ) -> _Factor:
-    """Multiply out ratio powers ((numerator, denominator) -> exponent), substituting normal forms.
+    """Multiply out ratio powers ((numerator, denominator), exponent), substituting normal forms.
 
-    Before any power is taken, raises RatioError when the ratios' sum of
-    |exponent| * bits passes MAX_RATIO_BITS, then for the first refused
-    symbol, then when that sum plus sum |exponent| * bits over the
-    substituted forms passes it; so the result fits too. Returns the
-    numerator and denominator, unreduced, that last sum, and the root's
+    Raises RatioError for the first refused symbol, in root order, that
+    the unit reaches. The prefix values and the substituted normal forms
+    are then multiplied out together by `numeric._ratio_product`, which
+    refuses a "rewritten factor" past MAX_RATIO_BITS before any power is
+    taken. Returns its numerator, denominator and bits, and the root's
     pairs.
     """
-    bits = sum(abs(e) * max(n.bit_length(), d.bit_length()) for (n, d), e in values.items())
-    ratio_check_bits(bits, "prefix value")
     expanded: dict[str, int] = {}
     for base, z in sorted(bases.items()):
         if z and base in refused:
             raise RatioError(refused[base])
-        # Normal-form factors join the prefix values.
-        n, d, form_bits, pairs = _table_entry(table, base)
-        bits += abs(z) * form_bits
-        values[n, d] = values.get((n, d), 0) + z
+        n, d, _, pairs = _table_entry(table, base)
+        powers.append(((n, d), z))
         for symbol, e in pairs:
             expanded[symbol] = expanded.get(symbol, 0) + e * z
-    ratio_check_bits(bits, "rewritten factor")
-    numerator, denominator = _multiply_out(values.items())
+    numerator, denominator, bits = _ratio_product(powers, "rewritten factor")
     return numerator, denominator, bits, sorted((symbol, e) for symbol, e in expanded.items() if e)
 
 
@@ -469,10 +452,11 @@ def _normal_forms(
     For well-founded rules full expansion is a group homomorphism of the
     evaluated root, so each ruled symbol's normal form is its rule's
     form with its dependencies' normal forms substituted, visited in the
-    dependency post-order the compiled rules keep, under `_substitute`'s
-    bound. A normal form past that bound, or whose rule factor is, is
-    left out of the table; its symbol, and every symbol that depends on
-    it, maps instead to the refusal that a conversion reaching it raises.
+    dependency post-order the compiled rules keep, under the one size
+    rule `_substitute` checks. A normal form past it, or whose rule
+    factor is, is left out of the table; its symbol, and every symbol that
+    depends on it, maps instead to the refusal that a conversion reaching
+    it raises.
     Raises any other error a rule's evaluation raised, and
     NotWellDefiningError on cyclic rules. Returns the table, the refused
     symbols and the factor memo, empty until `_expand` fills it.
@@ -493,15 +477,14 @@ def _normal_forms(
         try:
             if isinstance(factor, Exception):
                 raise factor.with_traceback(None)
-            numerator, denominator, _, expanded = _substitute(
-                table, refused, {(factor.numerator, factor.denominator): 1}, dict(pairs)
+            numerator, denominator, bits, expanded = _substitute(
+                table, refused, [(factor.as_integer_ratio(), 1)], dict(pairs)
             )
         except RatioError:
             refused[base] = f"normal form of {base!r} is too large: over MAX_RATIO_BITS = {MAX_RATIO_BITS} bits"
             continue
-        factor = Fraction(numerator, denominator)
-        bits = 0 if factor == 1 else ratio_bits(factor)
-        table[base] = (factor.numerator, factor.denominator, bits, expanded)
+        common = gcd(numerator, denominator)
+        table[base] = (numerator // common, denominator // common, bits, expanded)
     compiled.table, compiled.refused, compiled.memo = table, refused, {}
     return table, refused, compiled.memo
 
@@ -529,13 +512,13 @@ def convert(
     Both units are fully expanded as by `rwr_star`; they are convertible
     exactly when the expanded roots coincide, and then source = factor *
     target with factor the quotient of the expanded scale factors. Before
-    any power is taken, each unit's factor is bounded by `val`'s bound on
-    its prefix values plus sum |exponent| * bits over the normal-form
-    factors substituted; past MAX_RATIO_BITS RatioError is raised. Like
-    `val`'s, the bound over-estimates, so a few units whose factors would
-    cancel are refused too. A factor met before, such as `km`, is expanded
-    alone once per rule set, by the same walk, and then read from a memo;
-    the answers and the refusals are the same either way.
+    any power is taken, each unit's prefix values and substituted normal
+    forms are bounded together by the size rule `val` uses; past
+    MAX_RATIO_BITS RatioError is raised. Equal integers cancel first, but
+    distinct ones that share a prime do not, so a few units whose exact
+    factors fit are refused too. A factor met before, such as `km`, is
+    expanded alone once per rule set, by the same walk, and then read from
+    a memo; the answers and the refusals are the same either way.
     """
     compiled = _normal_forms(system, conversion)
     source_numerator, source_denominator, _, source_root = _expand(system, *compiled, source)
@@ -785,20 +768,21 @@ def _relation_witness(forms: Mapping[str, _RuleForm]) -> Optional[ConvTriple]:
     RatioError. Nothing here uses dimensions, so it decides rule mappings
     that change dimension too.
     """
-    ratios: list[Fraction] = []
+    ratios: list[tuple[int, int]] = []
     vectors: list[dict[str, int]] = []
     for base, (factor, pairs, _) in forms.items():
         if isinstance(factor, Exception):
             raise factor.with_traceback(None)
-        ratios.append(factor)
+        ratios.append(factor.as_integer_ratio())
         vector = {symbol: -z for symbol, z in pairs}
         vector[base] = vector.get(base, 0) + 1
         vectors.append({symbol: z for symbol, z in vector.items() if z})
     for relation in _relation_basis(vectors):
-        product = _power_product(
-            [(ratios[i], c) for i, c in relation.items()], "ratio product of a rule cycle"
+        numerator, denominator, _ = _ratio_product(
+            ((ratios[i], c) for i, c in relation.items()), "ratio product of a rule cycle"
         )
-        if product != 1:
+        if numerator != denominator:
+            product = Fraction(numerator, denominator)
             return ConvTriple(em_empty(), max(product, 1 / product), em_empty())
     return None
 

@@ -31,7 +31,7 @@ from .abelian import (
     em_map,
     em_mul,
 )
-from .numeric import ONE, _multiply_out, ratio_check_bits, ratio_inv, ratio_mul
+from .numeric import ONE, _ratio_product, ratio_inv, ratio_mul
 
 __all__ = [
     "AbstractUnit",
@@ -259,22 +259,16 @@ def val(system: UnitSystem, prefix: Prefix) -> Fraction:
     """Value of a prefix word: the product of member values, exactly.
 
     Equal to `em_eval(RATIO_GROUP, em_map(value, prefix))`: each symbol
-    is mapped to its registered ratio and the ratios are multiplied out.
-    Exponents are first summed per value, keyed by its numerator and
-    denominator in lowest terms, so equal-valued prefixes merge and
-    cancel as under `em_map`. The value has at most
-    sum |exponent| * bits(ratio) bits over those sums; past
-    MAX_RATIO_BITS it raises RatioError before any power is taken.
+    is mapped to its registered ratio and the ratios are multiplied out,
+    under the one size rule of `numeric._ratio_product`. Exponents are
+    summed per integer first, so equal-valued prefixes, and equal
+    integers among values, cancel; past MAX_RATIO_BITS it raises
+    RatioError ("prefix value") before any power is taken.
     """
-    powers: dict[tuple[int, int], int] = {}
-    for symbol, z in prefix.items():
-        value = _prefix_value(system, symbol)
-        key = (value.numerator, value.denominator)
-        powers[key] = powers.get(key, 0) + z
-    ratio_check_bits(
-        sum(abs(z) * max(n.bit_length(), d.bit_length()) for (n, d), z in powers.items()), "prefix value"
+    numerator, denominator, _ = _ratio_product(
+        ((_prefix_value(system, symbol).as_integer_ratio(), z) for symbol, z in prefix.items()), "prefix value"
     )
-    return Fraction(*_multiply_out(powers.items()))
+    return Fraction(numerator, denominator)
 
 
 def pval(system: UnitSystem, unit: Unit) -> Fraction:

@@ -59,13 +59,33 @@ def ratio_check_bits(bits: int, what: str) -> None:
         raise RatioError(f"{what} is too large: over MAX_RATIO_BITS = {MAX_RATIO_BITS} bits")
 
 
-def _multiply_out(powers: Iterable[tuple[tuple[int, int], int]]) -> tuple[int, int]:
-    """The product of ratio powers ((numerator, denominator), exponent), as an unreduced numerator and denominator."""
-    numerator = denominator = 1
+def _ratio_product(powers: Iterable[tuple[tuple[int, int], int]], what: str) -> tuple[int, int, int]:
+    """The product of ratio powers ((numerator, denominator), exponent): the one size rule.
+
+    Exponents are summed per integer, +exponent for a numerator and
+    -exponent for a denominator, so equal integers cancel and 1 drops out.
+    The numerator left has at most sum exponent * bit_length bits over the
+    positive exponents, the denominator likewise over the negative ones;
+    past MAX_RATIO_BITS either raises RatioError naming `what`, before any
+    power is taken. Returns the numerator and denominator, unreduced, and
+    the larger sum.
+    """
+    exponents: dict[int, int] = {}
     for (n, d), z in powers:
-        numerator *= n**z if z > 0 else d**-z
-        denominator *= d**z if z > 0 else n**-z
-    return numerator, denominator
+        exponents[n] = exponents.get(n, 0) + z
+        exponents[d] = exponents.get(d, 0) - z
+    exponents.pop(1, None)
+    up = sum(e * k.bit_length() for k, e in exponents.items() if e > 0)
+    down = sum(-e * k.bit_length() for k, e in exponents.items() if e < 0)
+    bits = max(up, down)
+    ratio_check_bits(bits, what)
+    numerator = denominator = 1
+    for k, e in exponents.items():
+        if e > 0:
+            numerator *= k**e
+        elif e < 0:
+            denominator *= k**-e
+    return numerator, denominator, bits
 
 
 def _checked(a: Fraction, what: str) -> Fraction:

@@ -221,10 +221,11 @@ def test_the_documented_bound_boundaries_hold(capsys):
     for source, target in (("lb^538", "g^538"), ("Ym^175", "m^175")):
         code, out, _ = run_within_a_second(capsys, "convert", source, target, *registries)
         assert code == 0 and out.startswith("ratio: ")
+    # One rule bounds the whole factor: 539 * 26 bits of lb's numerator,
+    # 176 * 80 bits of 10^24, and 1000^1800 from the prefix and N's factor.
     refused = (
         ("lb^539", "g^539", "rewritten factor"),
-        ("Ym^176", "m^176", "prefix value"),
-        # The prefix (12000 bits) and N's factor (6000 bits) each fit alone, not together.
+        ("Ym^176", "m^176", "rewritten factor"),
         ("kkN^600", "g^600*m^600*s^-1200", "rewritten factor"),
     )
     for source, target, bound in refused:
@@ -374,6 +375,38 @@ def test_no_pathological_rules_flag(capsys):
     assert payload["fixpoint"] == "(1, rad)"
 
 
+def test_an_empty_listing_prints_nothing(capsys, tmp_path):
+    empty = tmp_path / "empty.reg"
+    empty.write_bytes(b"")
+    assert run(capsys, "list", "units", "--registry", str(empty)) == (0, "", "")
+    code, payload, _ = run_json(capsys, "list", "units", "--registry", str(empty))
+    assert code == 0 and payload["entries"] == []
+
+
+@pytest.mark.parametrize(
+    "options, argv",
+    [
+        (("--registry", "si", "--registry", "uk"), ("convert", "lb", "g")),
+        (("--format", "structured"), ("convert", "m", "km")),
+        (("--digits", "2"), ("eval", "Mi_m/k_s")),
+        (("--no-pathological-rules",), ("explain", "rad")),
+    ],
+)
+def test_a_shared_option_reads_the_same_before_and_after_the_command(capsys, options, argv):
+    after = run(capsys, *argv, *options)
+    assert run(capsys, *options, *argv) == after
+    assert after != run(capsys, *argv)
+
+
+def test_a_shared_option_after_the_command_wins(capsys):
+    assert run(capsys, "--format", "plain", "convert", "m", "km", "--format", "structured") == run(
+        capsys, "convert", "m", "km", "--format", "structured"
+    )
+    # Registries after the command replace those before it.
+    code, _, err = run(capsys, "--registry", "si", "--registry", "uk", "convert", "lb", "g", "--registry", "si")
+    assert code == 2 and err == "error: unknown unit identifier 'lb' (at position 0)\n"
+
+
 def test_list_commands(capsys):
     code, out, _ = run(capsys, "list", "dimensions")
     assert code == 0 and out.split() == ["I", "J", "L", "M", "N", "T", "Θ"]
@@ -402,6 +435,7 @@ def run_exiting(capsys, *argv):
 def test_help_lists_the_commands_in_order(capsys):
     code, out, _ = run_exiting(capsys, "--help")
     assert code == 0 and "{convert,norm,eval,dim,explain,classify,list}" in out
+    assert "--format {plain,structured}" in out
 
 
 @pytest.mark.parametrize(

@@ -786,9 +786,9 @@ def test_rwr_star_and_convert_refuse_malformed_units_as_evaluate_does(siuk_pair)
     assert rwr_star(system, rules, cancelled) == rwr_star(system, rules, parse_unit(system, "m/g"))
 
 
-def test_the_prefix_value_bound_wins_over_the_rewritten_factor_bound(siuk_pair):
+def test_one_size_rule_refuses_prefix_values_and_rule_factors_alike(siuk_pair):
     system, rules = siuk_pair
-    assert _refusals(system, rules, "Ym^176*lb^539") == _too_large("prefix value")
+    assert _refusals(system, rules, "Ym^176*lb^539") == _too_large("rewritten factor")
     assert _refusals(system, rules, "lb^539") == _too_large("rewritten factor")
 
 
@@ -798,8 +798,8 @@ def test_a_refused_normal_form_is_reported_as_the_unit_reaches_it():
         assert _refusals(system, rules, text) == _too_large("normal form of 'y'")
     # The first refused symbol in root order is named.
     assert _refusals(system, rules, "y*v") == _too_large("normal form of 'v'")
-    # The prefix bound comes first; a symbol that cancels out is never reached.
-    assert _refusals(system, rules, "Ym^176*y") == _too_large("prefix value")
+    # A refused symbol is named before the size is checked; a symbol that cancels out is never reached.
+    assert _refusals(system, rules, "Ym^176*y") == _too_large("normal form of 'y'")
     assert rwr_star(system, rules, parse_unit(system, "k_y*y^-1")).factor == 1000
 
 
@@ -840,7 +840,20 @@ def test_the_documented_bound_boundaries_hold(siuk_pair):
     assert expanded.factor == factor and expanded.root == ExponentMap({"g": 538})
     assert convert(system, rules, parse_unit(system, "Ym^175"), parse_unit(system, "m^175")) == 10**4200
     assert _refusals(system, rules, "lb^539") == _too_large("rewritten factor")
-    assert _refusals(system, rules, "Ym^176") == _too_large("prefix value")
+    assert _refusals(system, rules, "Ym^176") == _too_large("rewritten factor")
+
+
+def test_equal_integers_cancel_before_the_size_rule(siuk_pair):
+    system, rules = siuk_pair
+    # h^-1200 and N's factor 1000^600 are 10^-600, though 14 400 bits summed per value.
+    hecto = parse_unit(system, "h^-2_N^600")
+    assert rwr_star(system, rules, hecto).factor == Fraction(1, 10**600)
+    assert convert(system, rules, hecto, parse_unit(system, "g^600*m^600*s^-1200")) == Fraction(1, 10**600)
+    # k^5000 and m^5000 cancel to 1, in the prefix value and in the rewritten factor.
+    cancelled = parse_unit(system, "k_m^5000*m_g^5000")
+    assert rwr_star(system, rules, cancelled).factor == 1
+    assert convert(system, rules, cancelled, parse_unit(system, "m^5000*g^5000")) == 1
+    assert evaluate(system, cancelled).factor == 1
 
 
 @given(st.randoms(use_true_random=False))

@@ -51,7 +51,6 @@ from unical import (
     val,
 )
 from unical.abelian import Immutable
-from unical.numeric import ratio_bits
 from support import bare, random_unit, unit_of
 
 SI, _ = load_registry(bundled_registry("si"))
@@ -283,10 +282,18 @@ def prefix_words(system):
 @given(st.one_of(prefix_words(SI), prefix_words(TWIN)))
 @example((TWIN, ExponentMap({"k": 5000, "K": -5000})))
 @example((TWIN, ExponentMap({"k": 5000, "K": -4999, "ki": -2})))
+@example((SI, ExponentMap({"k": 5000, "m": 5000})))
 def test_val_equals_the_mapped_evaluation(case):
     system, prefix = case
     values = em_map(system.base_prefixes.__getitem__, prefix)
-    if sum(abs(z) * ratio_bits(value) for value, z in values.items()) > MAX_RATIO_BITS:
+    # Exponents summed per integer, then each side's bits summed apart.
+    exponents: dict[int, int] = {}
+    for value, z in values.items():
+        exponents[value.numerator] = exponents.get(value.numerator, 0) + z
+        exponents[value.denominator] = exponents.get(value.denominator, 0) - z
+    exponents.pop(1, None)
+    sides = [sum(abs(e) * k.bit_length() for k, e in exponents.items() if (e > 0) == up) for up in (True, False)]
+    if max(sides) > MAX_RATIO_BITS:
         with pytest.raises(RatioError, match="MAX_RATIO_BITS"):
             val(system, prefix)
     else:

@@ -216,9 +216,10 @@ def test_a_rule_past_the_ratio_limit_is_refused_only_where_its_value_is_needed()
     with pytest.raises(RatioError) as info:
         convert(system, rules, parse_unit(system, "x"), parse_unit(system, "m^600"))
     assert str(info.value) == "normal form of 'x' is too large: over MAX_RATIO_BITS = 14000 bits"
-    # A cycle through the rule needs its value: evaluating it raises, as `evaluate` does.
+    # A cycle through the rule needs its value: evaluating it raises under the one
+    # size rule, which names a rewritten factor, as `evaluate` names a prefix value.
     cycle = {**rules.rules, "m": (Fraction(1), parse_unit(system, "x"))}
-    with pytest.raises(RatioError, match="^prefix value is too large"):
+    with pytest.raises(RatioError, match="^rewritten factor is too large"):
         classify(system, cycle)
     with pytest.raises(RatioError, match="^prefix value is too large"):
         evaluate(system, rules.rules["x"][1])

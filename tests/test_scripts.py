@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import os
 import re
@@ -65,6 +66,36 @@ def test_prefix_census_default_run(capsys, monkeypatch):
     assert "within |exponent| <= 24: 39" in lines
 
 
+def test_prefix_census_reports_bad_input_as_the_cli_does(capsys, monkeypatch, tmp_path):
+    missing = tmp_path / "missing.reg"
+    prose = tmp_path / "prose.md"
+    prose.write_text("# unical\n\nExact calculus for units of measure.\n", encoding="utf-8")
+    for argv, message in (
+        (
+            ["--registry", str(missing)],
+            f"registry {str(missing)!r} is neither a readable file nor one of the bundled names (si, uk)",
+        ),
+        (["--registry", str(prose)], "line 3: content before any section header"),
+        (["--unit", "k("], "unknown unit identifier 'k' (at position 0)"),
+    ):
+        monkeypatch.setattr(sys, "argv", ["prefix_census.py", *argv])
+        with pytest.raises(SystemExit) as exited:
+            runpy.run_path(str(SCRIPTS / "prefix_census.py"), run_name="__main__")
+        captured = capsys.readouterr()
+        assert exited.value.code == 2 and not captured.out
+        assert captured.err == f"error: {message}\n"
+
+
+def test_prefix_census_reads_a_registry_file(capsys, monkeypatch, tmp_path):
+    registry = tmp_path / "litre.reg"
+    registry.write_text("[units]\nL L^3\n[rules]\nL 1 dm^3\n", encoding="utf-8")
+    argv = ["prefix_census.py", "--registry", "si", "--registry", str(registry), "--unit", "L"]
+    monkeypatch.setattr(sys, "argv", argv)
+    runpy.run_path(str(SCRIPTS / "prefix_census.py"), run_name="__main__")
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "target: L = (1/1000, m^3)" and "matching spellings: 1" in lines
+
+
 def test_transitive_dependencies_are_transitive():
     report = analyze(SI, SI_RULES)
     edges = transitive_dependencies(SI_RULES, report.depth)
@@ -101,3 +132,17 @@ def test_outcome_digest_prints_the_same_digest_twice():
     ]
     assert runs[0].stdout == runs[1].stdout and not runs[0].stderr
     assert re.fullmatch(r"outcomes: [1-9][0-9]*\nsha256: [0-9a-f]{64}\n", runs[0].stdout)
+
+
+def test_outcome_digest_dumps_the_lines_it_hashes(tmp_path):
+    dump = tmp_path / "outcomes.txt"
+    command = [sys.executable, str(SCRIPTS / "outcome_digest.py"), "--pool-size", "20", "--random", "20"]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    plain, dumped = (
+        subprocess.run(argv, capture_output=True, text=True, timeout=120, check=True, env=env)
+        for argv in (command, [*command, "--dump", str(dump)])
+    )
+    assert plain.stdout == dumped.stdout
+    lines = dump.read_bytes().splitlines(keepends=True)
+    digest = hashlib.sha256(b"".join(lines)).hexdigest()
+    assert dumped.stdout == f"outcomes: {len(lines)}\nsha256: {digest}\n"
