@@ -88,6 +88,13 @@ BOUNDARY_TEXTS = [
     ("m^-2_s", "s"), ("1^-9", "1"),
     # Equal integers cancel before the size rule: 10^-600 and 1, each past it summed per value.
     ("h^-2_N^600", "g^600*m^600*s^-1200"), ("k_m^5000*m_g^5000", "m^5000*g^5000"),
+    # Each unit is bounded alone, so the quotient, 10^8400, passes the limit.
+    ("Ym^175", "ym^175"),
+    # Terms read with two lookups or a piece at a time: a zero, negative or spaced exponent,
+    # an identifier holding a '^', a second '^', and the term after a ')'.
+    ("J^0", "1"), ("km^0*s", "s"), ("(km)^-2", "m^-2"), ("( km ) ^ 2", "m^2"), ("d^3_m^-2", "m^-2"),
+    ("km^2^3", "m"), ("km^ 2", "m^2"), ("m/s^2/s^-2", "m"), ("k_m^-9*s^9", "m^-9*s^9"), ("(m)^", "m"),
+    ("m^2(", "m"), ("km^-10", "m^-10"),
 ]
 
 # `y` has a normal form past MAX_RATIO_BITS, so only units that reach it are refused.

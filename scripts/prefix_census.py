@@ -19,6 +19,7 @@ from fractions import Fraction
 from itertools import product
 
 from unical import (
+    NotWellDefiningError,
     RatioError,
     RegistryError,
     UnitSyntaxError,
@@ -98,6 +99,10 @@ def main() -> None:
         # Reported as the CLI reports bad input, with its exit status.
         print(f"error: {error}", file=sys.stderr)
         sys.exit(2)
+    except NotWellDefiningError as error:
+        # Reported as the CLI reports a rule cycle, with its exit status.
+        print(f"error: {error}", file=sys.stderr)
+        sys.exit(3)
 
 
 if __name__ == "__main__":

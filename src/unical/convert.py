@@ -340,6 +340,44 @@ def rwr_eval(system: UnitSystem, conversion: DefiningConversion, unit: Evaluated
 _Factor = tuple[int, int, int, Sequence[tuple[str, int]]]
 
 
+def _memo_product(
+    memo: Mapping[PreUnit, _Factor], sides: Sequence[tuple[Unit, int]]
+) -> Optional[tuple[int, int, int, dict[str, int]]]:
+    """Multiply out the memo's entries for units, each raised to its sign, in one loop.
+
+    Each unit's sum of |exponent| * bits over its factors is bounded by
+    MAX_RATIO_BITS on its own, checked before each power. That sum bounds
+    the check `_expand`'s walk over the unit makes: each integer's exponent
+    on either side of the walk is at most the sum of |exponent| times its
+    exponent on the matching side of each factor's own walk. Returns the
+    numerator and denominator, unreduced, the larger of the units' sums and
+    the summed root exponents; None when a factor is not in the memo or a
+    unit passes the bound.
+    """
+    numerator = denominator = 1
+    bits = 0
+    expanded: dict[str, int] = {}
+    for unit, sign in sides:
+        side_bits = 0
+        for preunit, z in unit.items():
+            factor = memo.get(preunit)
+            if factor is None:
+                return None
+            n, d, factor_bits, pairs = factor
+            side_bits += abs(z) * factor_bits
+            if side_bits > MAX_RATIO_BITS:
+                return None
+            z *= sign
+            if z > 0:
+                numerator, denominator = numerator * n**z, denominator * d**z
+            else:
+                numerator, denominator = numerator * d**-z, denominator * n**-z
+            for symbol, e in pairs:
+                expanded[symbol] = expanded.get(symbol, 0) + e * z
+        bits = max(bits, side_bits)
+    return numerator, denominator, bits, expanded
+
+
 def _expand(
     system: UnitSystem,
     table: Mapping[str, _Factor],
@@ -354,35 +392,17 @@ def _expand(
     Raises `_check_unit`'s errors, then as `_substitute` does.
 
     Full expansion is a homomorphism, so each factor can be expanded on
-    its own. While every factor is in `memo` and the sum of |exponent| *
-    bits over them stays within MAX_RATIO_BITS, checked before each
-    power, the memo's entries are multiplied out: each integer's exponent
-    on either side of the walk is at most the sum of |exponent| times its
-    exponent on the matching side of each factor's own walk, so that sum
-    bounds the walk's check. Otherwise the unit is walked factor by
+    its own. When every factor is in `memo` and their sum of |exponent| *
+    bits stays within MAX_RATIO_BITS, the memo's entries are multiplied
+    out by `_memo_product`. Otherwise the unit is walked factor by
     factor, which decides every refusal and memoises each checked factor
     whose base is not refused: the walk's own result for that factor
     alone, in lowest terms, with its base's normal-form pairs, shared with
     the table. A factor the walk refuses alone is not memoised.
     """
-    if memo:
-        numerator = denominator = 1
-        bits = 0
-        expanded: dict[str, int] = {}
-        for preunit, z in unit.items():
-            factor = memo.get(preunit)
-            if factor is None:
-                break
-            n, d, factor_bits, pairs = factor
-            bits += abs(z) * factor_bits
-            if bits > MAX_RATIO_BITS:
-                break
-            numerator *= n**z if z > 0 else d**-z
-            denominator *= d**z if z > 0 else n**-z
-            for symbol, e in pairs:
-                expanded[symbol] = expanded.get(symbol, 0) + e * z
-        else:
-            return numerator, denominator, bits, sorted([(symbol, e) for symbol, e in expanded.items() if e])
+    if memo and (product := _memo_product(memo, ((unit, 1),))) is not None:
+        numerator, denominator, bits, expanded = product
+        return numerator, denominator, bits, sorted([(symbol, e) for symbol, e in expanded.items() if e])
     bases: dict[str, int] = {}
     powers: list[tuple[tuple[int, int], int]] = []
     for preunit, z in unit.items():
@@ -516,13 +536,25 @@ def convert(
     forms are bounded together by the size rule `val` uses; past
     MAX_RATIO_BITS RatioError is raised. Equal integers cancel first, but
     distinct ones that share a prime do not, so a few units whose exact
-    factors fit are refused too. A factor met before, such as `km`, is
-    expanded alone once per rule set, by the same walk, and then read from
-    a memo; the answers and the refusals are the same either way.
+    factors fit are refused too. Each unit is bounded on its own, so the
+    quotient can pass the limit: `Ym^175` to `ym^175` is 10^8400, whose
+    numerator has 27 905 bits.
+
+    Full expansion is a homomorphism, so the factor is the expansion of
+    source * target^-1. A factor met before, such as `km`, is expanded
+    alone once per rule set, by the same walk, and then read from a memo;
+    when every factor of both units is there, and each unit is within its
+    bound, both are multiplied out in one walk, the target's exponents
+    negated. Otherwise each unit is expanded as by `rwr_star`. The answers
+    and the refusals are the same either way.
     """
-    compiled = _normal_forms(system, conversion)
-    source_numerator, source_denominator, _, source_root = _expand(system, *compiled, source)
-    target_numerator, target_denominator, _, target_root = _expand(system, *compiled, target)
+    table, refused, memo = _normal_forms(system, conversion)
+    product = _memo_product(memo, ((source, 1), (target, -1)))
+    if product is not None:
+        numerator, denominator, _, roots = product
+        return None if any(roots.values()) else Fraction(numerator, denominator)
+    source_numerator, source_denominator, _, source_root = _expand(system, table, refused, memo, source)
+    target_numerator, target_denominator, _, target_root = _expand(system, table, refused, memo, target)
     if source_root != target_root:
         return None
     return Fraction(source_numerator * target_denominator, source_denominator * target_numerator)

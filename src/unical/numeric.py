@@ -201,11 +201,12 @@ def ratio_to_decimal(a: Fraction, digits: int = 15) -> tuple[str, bool]:
         raise RatioError(f"digits must be an integer, got {digits!r}")
     if digits < 0 or digits > MAX_DECIMAL_DIGITS:
         raise RatioError(f"digits must be between 0 and {MAX_DECIMAL_DIGITS}")
-    _checked(a, "ratio")
-    scaled, remainder = divmod(a.numerator * 10 ** digits, a.denominator)
+    numerator, denominator = a.numerator, a.denominator  # each a Python-level property of Fraction
+    ratio_check_bits(max(numerator.bit_length(), denominator.bit_length()), "ratio")
+    scaled, remainder = divmod(numerator * 10 ** digits, denominator)
     exact = remainder == 0
     doubled = 2 * remainder
-    if doubled > a.denominator or (doubled == a.denominator and scaled % 2 == 1):
+    if doubled > denominator or (doubled == denominator and scaled % 2 == 1):
         scaled += 1
     body = str(scaled)
     if digits:

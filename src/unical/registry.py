@@ -144,9 +144,11 @@ def _tokenize(text: str) -> list[_Token]:
 
 _EXPONENT_DIGITS = len(str(MAX_UNIT_EXPONENT))  # an exponent literal with more is refused unread
 
-# Cuts text at its operators, keeping them: '*', '/', '(', ')', and each '^'
-# except one that starts the `^n_` inside an identifier such as `d^3_m`.
-_OPERATOR_RE = re.compile(r"([*/()]|\^(?!-?[0-9]+_))")
+# Cuts text into terms at the operators between them, keeping the operators.
+_OPERATOR_RE = re.compile(r"([*/()])")
+# Cuts a term at its '^' operators, keeping them: each '^' except one that
+# starts the `^n_` inside an identifier such as `d^3_m`.
+_CARET_RE = re.compile(r"(\^(?!-?[0-9]+_))")
 _NONZERO = itemgetter(1)  # filters (generator, exponent) pairs to those with an exponent
 _SHORT_EXPONENTS = {str(z): z for z in range(-9, 10)}  # exponent literals read without `_exponent`
 _NO_MEMO: Mapping[str, PreUnit] = MappingProxyType({})  # for dimension columns, which memoise nothing
@@ -165,58 +167,80 @@ def _preunit_order(item: tuple[PreUnit, int]) -> tuple[str, Prefix]:
 
 
 def _parse_expression(expression: str, system: Optional[UnitSystem] = None) -> ExponentMap:
-    """Parse expression text over the grammar above, in one walk over the pieces between its operators.
+    """Parse expression text over the grammar above, in one walk over its terms.
 
     Given a `system`, an identifier resolves to a PreUnit through
     `_resolve_identifier`; without one, as in a dimension column, it stands
-    for itself. Each piece must be blank or one token: an identifier or
-    `1` where an atom is due, an integer after a `^`. A term's pairs, the
-    slice of one list from where it starts, are scaled by its `^n` and negated
-    after a `/` when it ends; each `(` stacks the start and sign of the term
-    it opens. The exponents are summed in one dict at the end, so parsing is
-    linear in the text. Text the walk cannot take is tokenized for its fault.
-    A piece equal to a key of the system's memo, each of which the walk reads
-    as one identifier, and a short exponent are each read with one lookup.
+    for itself. The text is cut at '*', '/', '(' and ')' into terms. A
+    term is read with at most two lookups in the system's memo, each of
+    whose keys the walk reads as one identifier: the whole term, blanks
+    aside; or its head before its last '^', with its tail in the short
+    exponents and no blank next to that '^'. Any other term is read as the
+    pieces between its '^' operators, each blank or one token: an
+    identifier or `1` where an atom is due, an integer after a `^`; after a
+    ')' a term is blank or `^n`. A term's pairs, the slice of one list from
+    where it starts, are scaled by its `^n` and negated after a `/` when it
+    ends; each `(` stacks the start and sign of the term it opens. The
+    exponents are summed in one dict at the end, unless the generators are
+    distinct or there is only one, so parsing is linear in the text. Text
+    the walk cannot take is tokenized for its fault.
     """
     text = _normalize(expression)
     memo = _NO_MEMO if system is None else system._resolved
-    # Pieces and operators alternate; the "" after the last piece stands for the end of input.
-    parts = _OPERATOR_RE.split(text) + [""]
+    # Terms and operators alternate; the "" after the last term stands for the end of input.
+    parts = _OPERATOR_RE.split(text)
+    parts.append("")
+    terms = iter(parts)
     pairs: list[tuple[Any, int]] = []
     open_terms: list[tuple[int, int]] = []  # (start, sign) of each term opened by '('
     # `due` is what the next piece holds: an "atom", a "number" after '^', or nothing ("operator") after ')'.
     start, sign, generator, end, due = 0, 1, None, -1, "atom"
     try:
-        for index in range(0, len(parts), 2):
-            piece, operator = parts[index], parts[index + 1]
-            offset = end + 1
-            end = offset + len(piece)  # where the operator stands
-            word = piece.strip()
-            if due == "atom" and (generator := memo.get(word)) is not None:
-                pass
-            elif due == "number" and (power := _SHORT_EXPONENTS.get(word)) is not None:
-                sign *= power
-            elif due == "atom" and _IDENT_RE.fullmatch(word):
-                generator = word if system is None else _resolve_identifier(system, word, end - len(piece.lstrip()))
-            elif due == "number" and _NUMBER_RE.fullmatch(word):
-                sign *= _exponent(word, end - len(piece.lstrip()))
+        for term, operator in zip(terms, terms):
+            end += len(term) + 1  # where the operator stands
+            word = term.strip()
+            if due == "atom" and (generator := memo.get(word)) is None:
+                head, _, tail = word.rpartition("^")
+                if (power := _SHORT_EXPONENTS.get(tail)) is not None and (generator := memo.get(head)) is not None:
+                    sign *= power
+            if generator is not None:
+                pairs.append((generator, sign))
+                generator = None
             elif due == "atom" and not word and operator == "(":
                 if len(open_terms) == MAX_UNIT_NESTING:
                     raise UnitSyntaxError(f"parentheses nest deeper than MAX_UNIT_NESTING = {MAX_UNIT_NESTING}", end)
                 open_terms.append((start, sign))
                 start, sign = len(pairs), 1
                 continue
-            elif (due != "atom" or word != "1") and (due != "operator" or word):
-                raise _fault(due, piece, operator, offset, bool(open_terms), system)
-            if operator == "^" and due != "number":
-                due = "number"
-                continue
-            # A term ends: scale its pairs, and take the operator after it.
-            if generator is not None:  # the term is one identifier
-                pairs.append((generator, sign))
-                generator = None
-            elif sign != 1:
-                pairs[start:] = [(g, z * sign) for g, z in pairs[start:]]
+            else:
+                # The pieces between the term's '^' operators, each read as due.
+                pieces = iter(_CARET_RE.split(term) + [operator])
+                offset = end - len(term)
+                for piece, after in zip(pieces, pieces):
+                    end = offset + len(piece)  # where `after` stands
+                    word = piece.strip()
+                    if due == "atom" and (generator := memo.get(word)) is not None:
+                        pass
+                    elif due == "number" and (power := _SHORT_EXPONENTS.get(word)) is not None:
+                        sign *= power
+                    elif due == "atom" and _IDENT_RE.fullmatch(word):
+                        position = end - len(piece.lstrip())
+                        generator = word if system is None else _resolve_identifier(system, word, position)
+                    elif due == "number" and _NUMBER_RE.fullmatch(word):
+                        sign *= _exponent(word, end - len(piece.lstrip()))
+                    elif (due != "atom" or word != "1") and (due != "operator" or word):
+                        raise _fault(due, piece, after, offset, bool(open_terms), system)
+                    if after == "^":
+                        if due == "number":  # after `^n` an operator is due, not a second '^'
+                            raise _fault("operator", "", after, end, bool(open_terms))
+                        due, offset = "number", end + 1
+                # The term ends: scale its pairs.
+                if generator is not None:  # the term is one identifier
+                    pairs.append((generator, sign))
+                    generator = None
+                elif sign != 1:
+                    pairs[start:] = [(g, z * sign) for g, z in pairs[start:]]
+            # Take the operator after the term.
             if operator == "*" or operator == "/":
                 start, sign, due = len(pairs), 1 if operator == "*" else -1, "atom"
             elif operator == ")" and open_terms:
@@ -226,10 +250,14 @@ def _parse_expression(expression: str, system: Optional[UnitSystem] = None) -> E
     except UnitSyntaxError:
         _tokenize(text)  # a character that starts no token is reported first, wherever it stands
         raise
-    totals: dict[Any, int] = {}
-    for g, z in pairs:
-        totals[g] = totals.get(g, 0) + z
-    items = sorted(filter(_NONZERO, totals.items()), key=None if system is None else _preunit_order)
+    if len(pairs) == 1:  # one identifier: nothing to sum or sort
+        return ExponentMap._canonical(tuple(pairs) if pairs[0][1] else ())
+    if len(dict(pairs)) < len(pairs):  # a generator repeats: sum its exponents
+        totals: dict[Any, int] = {}
+        for g, z in pairs:
+            totals[g] = totals.get(g, 0) + z
+        pairs = list(totals.items())
+    items = sorted(filter(_NONZERO, pairs), key=None if system is None else _preunit_order)
     return ExponentMap._canonical(tuple(items))  # from a list: a tuple made from an iterator raised peak RSS
 
 

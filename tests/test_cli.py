@@ -234,6 +234,14 @@ def test_the_documented_bound_boundaries_hold(capsys):
         assert err == f"error: {bound} is too large: over MAX_RATIO_BITS = 14000 bits\n"
 
 
+def test_a_conversion_past_the_ratio_limit_exits_two(capsys):
+    # Each unit is within the limit, 10^4200 and 10^-4200; the quotient 10^8400
+    # is not, and the CLI refuses to print it.
+    code, out, err = run_within_a_second(capsys, "convert", "Ym^175", "ym^175")
+    assert code == 2 and not out
+    assert err == "error: ratio is too large: over MAX_RATIO_BITS = 14000 bits\n"
+
+
 @pytest.mark.skipif(not Path("/dev/zero").exists(), reason="needs /dev/zero")
 def test_a_registry_past_the_byte_limit_exits_two(capsys, tmp_path):
     over = tmp_path / "over.reg"

@@ -4,6 +4,7 @@ import sys
 import time
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -955,6 +956,87 @@ def test_a_warm_factor_memo_agrees_with_fresh_rules_on_random_chains(rng):
         except RatioError:  # the bounds differ: on whole normal forms, and per pass
             continue
         assert expanded == reference
+
+
+def test_each_unit_of_a_conversion_is_bounded_alone(monkeypatch):
+    # 10^4200 and 10^-4200 are each within MAX_RATIO_BITS; their quotient has 27 905 bits.
+    system, rules = load_registry(bundled_registry("si"))
+    source, target = parse_unit(system, "Ym^175"), parse_unit(system, "ym^175")
+    cold = DefiningConversion(dict(rules.rules))
+    factor = convert(system, cold, source, target)
+    assert factor == 10**8400 and factor.numerator.bit_length() == 27905
+    warm = DefiningConversion(dict(rules.rules))
+    for text in ("Ym", "ym"):
+        convert(system, warm, parse_unit(system, text), parse_unit(system, "m"))
+    assert as_preunit_of(system, "Ym") in _memo(warm) and as_preunit_of(system, "ym") in _memo(warm)
+    # Both units are multiplied out from the memo in one walk, without `_expand`.
+    monkeypatch.setattr(CONVERT_MODULE, "_expand", None)
+    assert convert(system, warm, source, target) == factor
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as error:
+        return type(error), str(error)
+
+
+def _quotient_of_expansions(system, rules, source, target):
+    """What convert should give, from rwr_star on each unit under fresh rules.
+
+    The source's refusal first, then the target's; else None when the
+    expanded roots differ, and the quotient of the expanded factors when not.
+    """
+    def expand(unit):
+        return rwr_star(system, DefiningConversion(dict(rules.rules)), unit)
+
+    def quotient():
+        expanded_source, expanded_target = expand(source), expand(target)
+        if expanded_source.root != expanded_target.root:
+            return None
+        return expanded_source.factor / expanded_target.factor
+
+    return _outcome(quotient)
+
+
+# Texts whose every factor is memoised once converted alone, with a sum of
+# |exponent| * bits over the factors just within MAX_RATIO_BITS (`Ym^175`, `lb^538`) or
+# past it, where the memo is not read: the full walk then accepts some (the
+# integers cancel) and refuses the others.
+HEAVY_SI_UK_TEXTS = ["k_m^5000*m_g^5000", "km^3000/m^3000", "Ym^176", "lb^539", "h^-2_N^600", "Ym^175", "lb^538"]
+
+
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_the_walk_over_both_units_agrees_with_rwr_star_on_each(siuk_pair, rng, on_si_uk):
+    if on_si_uk:
+        system, rules = siuk_pair
+        heavy = parse_unit(system, rng.choice(HEAVY_SI_UK_TEXTS))
+    else:
+        base_count = rng.randint(2, 6)
+        chain, chain_rules, bases = random_chain_system(rng, base_count, rng.randint(1, base_count - 1), 0.5)
+        # "q2" is worth what "p2" is: p2^n*q2^-n cancels in the full walk.
+        system = UnitSystem(chain.base_dimensions, {**chain.base_prefixes, "q2": Fraction(2)}, chain.base_units)
+        rules = defining_conversion(system, chain_rules.rules)
+        power = rng.choice([3000, 5000, 20000])
+        heavy = unit_of((rng.choice(bases), 1, {"p2": power}), (rng.choice(bases), 1, {"q2": -power}))
+    units = [random_unit(rng, system), random_unit(rng, system), heavy]
+    source = rng.choice(units)
+    target = rng.choice([*units, strip(source)])
+    expected = _quotient_of_expansions(system, rules, source, target)
+
+    def converted(memoised=(), cap=CONVERT_MODULE.MAX_MEMO_IDENTIFIERS):
+        """convert under fresh rules, after each unit in `memoised` is converted alone, with the memo capped at `cap`."""
+        fresh = DefiningConversion(dict(rules.rules))
+        with mock.patch.object(CONVERT_MODULE, "MAX_MEMO_IDENTIFIERS", cap):
+            for unit in memoised:
+                _outcome(lambda: convert(system, fresh, unit, unit))
+            return _outcome(lambda: convert(system, fresh, source, target))
+
+    assert converted() == expected  # the memo cold
+    assert converted([source, target]) == expected  # warm, the heavy unit past its bound there
+    assert converted([source]) == expected and converted([target]) == expected  # one side memoised
+    # The memo emptied as it fills, so that only some factors are left in it.
+    assert converted([*units, source, target], cap=2) == expected
 
 
 def test_a_warm_factor_memo_agrees_with_fresh_rules_on_si_uk():

@@ -643,6 +643,10 @@ def assert_the_parsers_agree(text):
         # A '^' belongs to an identifier only when `-?[0-9]+_` and a symbol follow it.
         "m^2_", "^2_m", "m^2_*s", "(m)^2_s", "k_d^3_m", "d^3_m^2", "d^-3_m",
         "m ^ -2 / s", "1^2", "m^-0*s",
+        # A term read with two lookups or a piece at a time: a zero, negative or spaced
+        # exponent, an identifier holding a '^', a second '^', and the term after a ')'.
+        "J^0", "km^0*s", "(km)^-2", "( km ) ^ 2", "d^3_m^-2", "km^2^3", "km^ 2", "m/s^2/s^-2", "k_m^-9*s^9",
+        "(m)^", "m^2(", "km^-10",
     ],
 )
 def test_the_one_loop_parser_matches_the_recursive_descent_reference_on_examples(text):
@@ -689,6 +693,7 @@ def assert_memo_keys_are_identifiers(system):
     # The parser takes a piece equal to a memo key from the memo unchecked.
     for key in system._resolved:
         assert registry._IDENT_RE.fullmatch(key) and registry._OPERATOR_RE.split(key) == [key]
+        assert registry._CARET_RE.split(key) == [key]
 
 
 def test_a_rendering_the_grammar_cannot_read_is_not_memoised():
@@ -704,8 +709,9 @@ def test_a_rendering_the_grammar_cannot_read_is_not_memoised():
 
 
 def spaced(rng, text):
-    """`text` with blanks put at random before its pieces and operators."""
-    return "".join(rng.choice(["", "", " ", "\t", "\u3000"]) + part for part in registry._OPERATOR_RE.split(text))
+    """`text` with blanks put at random before its pieces and operators, '^' among them."""
+    parts = [piece for term in registry._OPERATOR_RE.split(text) for piece in registry._CARET_RE.split(term)]
+    return "".join(rng.choice(["", "", " ", "\t", "\u3000"]) + part for part in parts)
 
 
 # Known identifiers with whitespace around them, and exponents next to the

@@ -86,6 +86,19 @@ def test_prefix_census_reports_bad_input_as_the_cli_does(capsys, monkeypatch, tm
         assert captured.err == f"error: {message}\n"
 
 
+def test_prefix_census_reports_a_rule_cycle_as_the_cli_does(capsys, monkeypatch, tmp_path):
+    registry = tmp_path / "cyclic.reg"
+    registry.write_text("[dimensions]\nD\n[units]\na D\nb D\n[rules]\na 2 b\nb 3 a\n", encoding="utf-8")
+    monkeypatch.setattr(sys, "argv", ["prefix_census.py", "--registry", str(registry), "--unit", "a"])
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_path(str(SCRIPTS / "prefix_census.py"), run_name="__main__")
+    captured = capsys.readouterr()
+    assert exited.value.code == 3 and not captured.out
+    assert captured.err == "error: rules are not well-defining; dependency cycle: a > b > a\n"
+    assert cli_main(["convert", "a", "b", "--registry", str(registry)]) == 3
+    assert capsys.readouterr().err == captured.err
+
+
 def test_prefix_census_reads_a_registry_file(capsys, monkeypatch, tmp_path):
     registry = tmp_path / "litre.reg"
     registry.write_text("[units]\nL L^3\n[rules]\nL 1 dm^3\n", encoding="utf-8")
