@@ -21,6 +21,7 @@ from .abelian import em_inv, em_mul
 from .convert import (
     DefiningConversion,
     NotWellDefiningError,
+    RuleError,
     analyze,
     classify,
     rwr_eval,
@@ -55,7 +56,7 @@ EXIT_NOT_WELL_DEFINING = 3
 
 REGISTRY_ENV_VAR = "UNICAL_REGISTRY"
 
-_INPUT_ERRORS = (RegistryError, UnitSyntaxError, UnknownSymbolError, RatioError, OSError)
+_INPUT_ERRORS = (RegistryError, UnitSyntaxError, UnknownSymbolError, RatioError, RuleError, OSError)
 
 # A command body takes the loaded system, its rules and the parsed
 # arguments, and returns (exit code, structured fields, plain lines).

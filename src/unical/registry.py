@@ -17,7 +17,6 @@ import re
 import unicodedata
 from fractions import Fraction
 from operator import itemgetter
-from types import MappingProxyType
 from typing import Any, Iterable, Mapping, NamedTuple, Optional
 
 from .abelian import ExponentMap, em_empty
@@ -124,15 +123,15 @@ _PLAIN_SYMBOL_RE = re.compile(rf"{_SEGMENT}\Z")
 
 # (kind, text, position); kind is "ident" | "number" | one of "*/^()" | "end".
 _Token = tuple[str, str, int]
-_TOKEN = rf"([*/^()])|({_NUMBER_RE.pattern})|({_IDENT_RE.pattern})|\s+"
-_TOKEN_KINDS = (None, None, "number", "ident")  # by group of _TOKEN; an operator is its own kind; whitespace has none
+_TOKEN_RE = re.compile(rf"([*/^()])|({_NUMBER_RE.pattern})|({_IDENT_RE.pattern})|\s+")
+_TOKEN_KINDS = (None, None, "number", "ident")  # by group of _TOKEN_RE; an operator is its own kind; whitespace has none
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     pos = 0
     while pos < len(text):
-        match = re.compile(_TOKEN).match(text, pos)  # cached by `re`; compiled only once text fails to parse
+        match = _TOKEN_RE.match(text, pos)
         if match is None:
             raise UnitSyntaxError(f"unexpected character {text[pos]!r}", pos)
         if match.lastindex:  # not whitespace
@@ -146,12 +145,8 @@ _EXPONENT_DIGITS = len(str(MAX_UNIT_EXPONENT))  # an exponent literal with more 
 
 # Cuts text into terms at the operators between them, keeping the operators.
 _OPERATOR_RE = re.compile(r"([*/()])")
-# Cuts a term at its '^' operators, keeping them: each '^' except one that
-# starts the `^n_` inside an identifier such as `d^3_m`.
-_CARET_RE = re.compile(r"(\^(?!-?[0-9]+_))")
 _NONZERO = itemgetter(1)  # filters (generator, exponent) pairs to those with an exponent
-_SHORT_EXPONENTS = {str(z): z for z in range(-9, 10)}  # exponent literals read without `_exponent`
-_NO_MEMO: Mapping[str, PreUnit] = MappingProxyType({})  # for dimension columns, which memoise nothing
+_SHORT_EXPONENTS = {str(z): z for z in range(-9, 10)}  # exponent literals the memo walk reads
 
 
 def _exponent(text: str, position: int) -> int:
@@ -166,90 +161,111 @@ def _preunit_order(item: tuple[PreUnit, int]) -> tuple[str, Prefix]:
     return item[0].base, item[0].prefix  # PreUnit's order, compared without `PreUnit.__lt__`
 
 
-def _parse_expression(expression: str, system: Optional[UnitSystem] = None) -> ExponentMap:
-    """Parse expression text over the grammar above, in one walk over its terms.
+def _read_known(memo: Mapping[str, PreUnit], text: str) -> Optional[list[tuple[PreUnit, int]]]:
+    """The (generator, exponent) pairs of text made of memo keys only, else None.
 
-    Given a `system`, an identifier resolves to a PreUnit through
-    `_resolve_identifier`; without one, as in a dimension column, it stands
-    for itself. The text is cut at '*', '/', '(' and ')' into terms. A
-    term is read with at most two lookups in the system's memo, each of
-    whose keys the walk reads as one identifier: the whole term, blanks
-    aside; or its head before its last '^', with its tail in the short
-    exponents and no blank next to that '^'. Any other term is read as the
-    pieces between its '^' operators, each blank or one token: an
-    identifier or `1` where an atom is due, an integer after a `^`; after a
-    ')' a term is blank or `^n`. A term's pairs, the slice of one list from
-    where it starts, are scaled by its `^n` and negated after a `/` when it
-    ends; each `(` stacks the start and sign of the term it opens. The
-    exponents are summed in one dict at the end, unless the generators are
-    distinct or there is only one, so parsing is linear in the text. Text
-    the walk cannot take is tokenized for its fault.
+    The text is cut at '*', '/', '(' and ')' into terms, each a memo key,
+    blanks aside, or a key with '^' and an exponent in `_SHORT_EXPONENTS`;
+    a blank term opens a '(', and after a ')' a term is blank or '^' and
+    a short exponent. Any other text is left to `_read_tokens`: this walk
+    resolves nothing and raises nothing.
     """
-    text = _normalize(expression)
-    memo = _NO_MEMO if system is None else system._resolved
-    # Terms and operators alternate; the "" after the last term stands for the end of input.
     parts = _OPERATOR_RE.split(text)
-    parts.append("")
+    parts.append("")  # the operator after the last term: the end of input
     terms = iter(parts)
-    pairs: list[tuple[Any, int]] = []
+    pairs: list[tuple[PreUnit, int]] = []
     open_terms: list[tuple[int, int]] = []  # (start, sign) of each term opened by '('
-    # `due` is what the next piece holds: an "atom", a "number" after '^', or nothing ("operator") after ')'.
-    start, sign, generator, end, due = 0, 1, None, -1, "atom"
-    try:
-        for term, operator in zip(terms, terms):
-            end += len(term) + 1  # where the operator stands
-            word = term.strip()
-            if due == "atom" and (generator := memo.get(word)) is None:
-                head, _, tail = word.rpartition("^")
-                if (power := _SHORT_EXPONENTS.get(tail)) is not None and (generator := memo.get(head)) is not None:
-                    sign *= power
-            if generator is not None:
-                pairs.append((generator, sign))
-                generator = None
-            elif due == "atom" and not word and operator == "(":
-                if len(open_terms) == MAX_UNIT_NESTING:
-                    raise UnitSyntaxError(f"parentheses nest deeper than MAX_UNIT_NESTING = {MAX_UNIT_NESTING}", end)
+    start, sign, closed = 0, 1, False  # `closed`: the term follows a ')'
+    for term, operator in zip(terms, terms):
+        word = term.strip()
+        if closed:
+            if word:
+                if word[0] != "^" or (power := _SHORT_EXPONENTS.get(word[1:])) is None:
+                    return None
+                sign *= power
+            if sign != 1:
+                pairs[start:] = [(g, z * sign) for g, z in pairs[start:]]
+        elif (generator := memo.get(word)) is not None:
+            pairs.append((generator, sign))
+        else:
+            head, _, tail = word.rpartition("^")
+            if (power := _SHORT_EXPONENTS.get(tail)) is not None and (generator := memo.get(head)) is not None:
+                pairs.append((generator, sign * power))
+            elif word or operator != "(" or len(open_terms) == MAX_UNIT_NESTING:
+                return None
+            else:
                 open_terms.append((start, sign))
                 start, sign = len(pairs), 1
                 continue
-            else:
-                # The pieces between the term's '^' operators, each read as due.
-                pieces = iter(_CARET_RE.split(term) + [operator])
-                offset = end - len(term)
-                for piece, after in zip(pieces, pieces):
-                    end = offset + len(piece)  # where `after` stands
-                    word = piece.strip()
-                    if due == "atom" and (generator := memo.get(word)) is not None:
-                        pass
-                    elif due == "number" and (power := _SHORT_EXPONENTS.get(word)) is not None:
-                        sign *= power
-                    elif due == "atom" and _IDENT_RE.fullmatch(word):
-                        position = end - len(piece.lstrip())
-                        generator = word if system is None else _resolve_identifier(system, word, position)
-                    elif due == "number" and _NUMBER_RE.fullmatch(word):
-                        sign *= _exponent(word, end - len(piece.lstrip()))
-                    elif (due != "atom" or word != "1") and (due != "operator" or word):
-                        raise _fault(due, piece, after, offset, bool(open_terms), system)
-                    if after == "^":
-                        if due == "number":  # after `^n` an operator is due, not a second '^'
-                            raise _fault("operator", "", after, end, bool(open_terms))
-                        due, offset = "number", end + 1
-                # The term ends: scale its pairs.
-                if generator is not None:  # the term is one identifier
-                    pairs.append((generator, sign))
-                    generator = None
-                elif sign != 1:
-                    pairs[start:] = [(g, z * sign) for g, z in pairs[start:]]
-            # Take the operator after the term.
-            if operator == "*" or operator == "/":
-                start, sign, due = len(pairs), 1 if operator == "*" else -1, "atom"
-            elif operator == ")" and open_terms:
-                (start, sign), due = open_terms.pop(), "operator"
-            elif operator or open_terms:
-                raise _fault("operator", "", operator, end, bool(open_terms))
-    except UnitSyntaxError:
-        _tokenize(text)  # a character that starts no token is reported first, wherever it stands
-        raise
+        if operator == "*" or operator == "/":
+            start, sign, closed = len(pairs), 1 if operator == "*" else -1, False
+        elif operator == ")" and open_terms:
+            (start, sign), closed = open_terms.pop(), True
+        elif operator or open_terms:
+            return None
+    return pairs
+
+
+def _read_tokens(tokens: list[_Token], system: Optional[UnitSystem]) -> list[tuple[Any, int]]:
+    """The (generator, exponent) pairs of tokenized text, in one loop that raises every grammar fault.
+
+    An identifier resolves through `_resolve_identifier`, or without a
+    `system` stands for itself. A term's pairs are the slice of one list
+    from where it starts, scaled by its `^n` and negated after a `/` when
+    it ends; each `(` stacks the start and sign of the term it opens.
+    """
+    pairs: list[tuple[Any, int]] = []
+    open_terms: list[tuple[int, int]] = []  # (start, sign) of each term opened by '('
+    start, sign, index = 0, 1, 0
+    while True:
+        kind, text, position = tokens[index]
+        index += 1
+        if kind == "(":
+            if len(open_terms) == MAX_UNIT_NESTING:
+                raise UnitSyntaxError(f"parentheses nest deeper than MAX_UNIT_NESTING = {MAX_UNIT_NESTING}", position)
+            open_terms.append((start, sign))
+            start, sign = len(pairs), 1
+            continue
+        if kind == "ident":
+            pairs.append((text if system is None else _resolve_identifier(system, text, position), 1))
+        elif kind != "number" or text != "1":
+            raise UnitSyntaxError(f"expected a symbol, '(' or 1, found {text or 'end of input'!r}", position)
+        # An atom is complete: end its term, and each term that a ')' then closes.
+        while True:
+            kind, text, position = tokens[index]
+            index += 1
+            if kind == "^":
+                kind, text, position = tokens[index]
+                if kind != "number":
+                    raise UnitSyntaxError(f"expected 'number', found {text or 'end of input'!r}", position)
+                sign *= _exponent(text, position)
+                kind, text, position = tokens[index + 1]
+                index += 2
+            if sign != 1:
+                pairs[start:] = [(g, z * sign) for g, z in pairs[start:]]
+            if kind == "*" or kind == "/":
+                start, sign = len(pairs), 1 if kind == "*" else -1
+                break
+            if not open_terms:
+                if kind != "end":
+                    raise UnitSyntaxError(f"unexpected trailing input {text!r}", position)
+                return pairs
+            if kind != ")":
+                raise UnitSyntaxError(f"expected ')', found {text or 'end of input'!r}", position)
+            start, sign = open_terms.pop()
+
+
+def _parse_expression(expression: str, system: Optional[UnitSystem] = None) -> ExponentMap:
+    """Parse expression text over the grammar above into a canonical map, in time linear in the text.
+
+    Text that `_read_known` does not take from the system's memo, and a
+    dimension column (no `system`), is read by `_read_tokens`. A repeated
+    generator's exponents are summed in one dict at the end.
+    """
+    text = _normalize(expression)
+    pairs = None if system is None else _read_known(system._resolved, text)
+    if pairs is None:
+        pairs = _read_tokens(_tokenize(text), system)
     if len(pairs) == 1:  # one identifier: nothing to sum or sort
         return ExponentMap._canonical(tuple(pairs) if pairs[0][1] else ())
     if len(dict(pairs)) < len(pairs):  # a generator repeats: sum its exponents
@@ -259,32 +275,6 @@ def _parse_expression(expression: str, system: Optional[UnitSystem] = None) -> E
         pairs = list(totals.items())
     items = sorted(filter(_NONZERO, pairs), key=None if system is None else _preunit_order)
     return ExponentMap._canonical(tuple(items))  # from a list: a tuple made from an iterator raised peak RSS
-
-
-def _fault(
-    expected: str, piece: str, operator: str, offset: int, nested: bool, system: Optional[UnitSystem] = None
-) -> UnitSyntaxError:
-    """The fault in a piece and its operator, where the walk expected an "atom", a "number" or an "operator".
-
-    A first token that fits is taken as the walk takes it, so that its own error comes first.
-    """
-    tokens = _tokenize(piece)
-    tokens[-1] = (operator, operator, len(piece))
-    kind, word, position = tokens[0]
-    if (expected == "atom" and (kind == "ident" or word == "1")) or (expected == "number" and kind == "number"):
-        if expected == "number":
-            _exponent(word, offset + position)
-        elif kind == "ident" and system is not None:
-            _resolve_identifier(system, word, offset + position)
-        expected, (kind, word, position) = "operator", tokens[1]
-    found = word or "end of input"
-    if expected == "atom":
-        message = f"expected a symbol, '(' or 1, found {found!r}"
-    elif expected == "number":
-        message = f"expected 'number', found {found!r}"
-    else:
-        message = f"expected ')', found {found!r}" if nested else f"unexpected trailing input {word!r}"
-    return UnitSyntaxError(message, offset + position)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +360,7 @@ def _resolve_identifier(system: UnitSystem, text: str, position: int = 0) -> Pre
     Only successful resolutions of identifiers up to
     MAX_MEMO_IDENTIFIER_LEN characters are kept, so an unknown
     identifier raises with its own position each time it occurs; and
-    only text the grammar reads as one identifier, so that the parser
+    only text the grammar reads as one identifier, so that the memo walk
     may take any key from the memo unchecked.
     """
     memo = system._resolved

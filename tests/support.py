@@ -192,6 +192,28 @@ def chain_registry_text(length):
     return "\n".join(lines) + "\n", symbols[0], symbols[-1]
 
 
+def dense_cycle_registry_text(count, seed=0):
+    """A registry of `count` units of one dimension whose rules are all in one dense cycle.
+
+    Each unit's rule rewrites it, at a ratio of digits 2 to 9, into a
+    product of three other units whose exponents sum to one, so that the
+    dimension holds. Solving the rules' integer relations costs time
+    cubic in `count`.
+    """
+    rng = random.Random(seed)
+    symbols = [f"q{chr(97 + i // 676)}{chr(97 + i // 26 % 26)}{chr(97 + i % 26)}" for i in range(count)]
+    lines = ["[dimensions]", "L", "", "[units]"]
+    lines += [f"{symbol} L" for symbol in symbols]
+    lines += ["", "[rules]"]
+    for symbol in symbols:
+        others = rng.sample([other for other in symbols if other != symbol], 3)
+        exponents = [rng.randint(-3, 3), rng.randint(-3, 3)]
+        exponents.append(1 - sum(exponents))
+        product = "*".join(f"{other}^{z}" for other, z in zip(others, exponents))
+        lines.append(f"{symbol} {rng.randint(2, 9)}/{rng.randint(2, 9)} {product}")
+    return "\n".join(lines) + "\n"
+
+
 def random_integer_map(rng, generators, max_entries=4, span=5):
     entries = {}
     for generator in rng.sample(list(generators), k=rng.randint(0, max_entries)):

@@ -10,7 +10,7 @@ import pytest
 import unical
 from unical.cli import main
 from unical.registry import MAX_REGISTRY_BYTES
-from support import chain_registry_text
+from support import chain_registry_text, dense_cycle_registry_text
 
 LITRE_TEXT = """\
 [units]
@@ -201,6 +201,13 @@ def test_classify_refuses_a_witness_past_the_ratio_limit(capsys, tmp_path):
     registry.write_text(HUGE_CYCLE_TEXT, encoding="utf-8")
     code, out, err = run_within_a_second(capsys, "classify", "--registry", str(registry))
     assert code == 2 and not out and "MAX_RATIO_BITS" in err
+
+
+def test_classify_refuses_a_dense_cycle_past_the_work_limit(capsys, tmp_path):
+    registry = tmp_path / "dense-cycle.reg"
+    registry.write_text(dense_cycle_registry_text(800), encoding="utf-8")
+    code, out, err = run_within_a_second(capsys, "classify", "--registry", str(registry))
+    assert code == 2 and not out and "MAX_RELATION_WORK" in err
 
 
 def test_ratios_past_the_limit_exit_two(capsys):

@@ -51,6 +51,7 @@ from unical import (
 from support import (
     bare,
     chain_registry_text,
+    dense_cycle_registry_text,
     dimensionless_system,
     exhaust,
     own_dimension_system,
@@ -699,6 +700,24 @@ def test_analyze_and_classify_are_linear_on_a_chain_of_5000_rules():
         started = time.perf_counter()
         assert run(system, rules).iteration_bound == 4999
         assert time.perf_counter() - started < 1
+
+
+def test_classify_refuses_a_dense_cycle_past_the_work_limit():
+    system, rules = load_registry(dense_cycle_registry_text(800))
+    started = time.perf_counter()
+    with pytest.raises(RuleError, match="over MAX_RELATION_WORK = 500000 entry updates"):
+        classify(system, rules)
+    assert time.perf_counter() - started < 1
+
+
+def test_the_relation_solver_refuses_only_past_its_work_limit(monkeypatch):
+    # The second rule's row and combination, 1 + 2 entries against the first's 2 + 1, take 6 updates.
+    system, rules = cyclic_pair()
+    monkeypatch.setattr(CONVERT_MODULE, "MAX_RELATION_WORK", 6)
+    assert classify(system, rules).consistency == "witness_found"
+    monkeypatch.setattr(CONVERT_MODULE, "MAX_RELATION_WORK", 5)
+    with pytest.raises(RuleError, match="over MAX_RELATION_WORK = 5 entry updates"):
+        classify(system, rules)
 
 
 def test_an_oversized_normal_form_refuses_only_the_conversions_that_reach_it(si_pair):

@@ -1,5 +1,6 @@
 import codecs
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -534,17 +535,36 @@ def test_long_identifier_is_rejected_in_bounded_time(text):
     assert time.perf_counter() - started < 2
 
 
+LONG_PRODUCT = "*".join(
+    f"{prefix}{power}_{unit}"
+    for power in ("", "^2", "^-1")
+    for prefix in sorted(SIUK.base_prefixes)
+    for unit in sorted(SIUK.base_units)
+)
+
+
 def test_a_long_product_parses_in_linear_time():
-    text = "*".join(
-        f"{prefix}{power}_{unit}"
-        for power in ("", "^2", "^-1")
-        for prefix in sorted(SIUK.base_prefixes)
-        for unit in sorted(SIUK.base_units)
-    )
     started = time.perf_counter()
-    unit = parse_unit(SIUK, text)
+    unit = parse_unit(SIUK, LONG_PRODUCT)
     assert time.perf_counter() - started < 1
-    assert len(text) > 20_000 and len(unit) == 3168
+    assert len(LONG_PRODUCT) > 20_000 and len(unit) == 3168
+
+
+@pytest.mark.parametrize("last", ["*m^10", "*qq"])
+def test_a_long_warm_product_whose_last_term_misses_the_memo_parses_in_linear_time(last):
+    # The memo walk reads every term but the last, declines, and the token loop reads the text again.
+    system = fresh_siuk()
+    parse_unit(system, LONG_PRODUCT)
+    assert registry._read_known(system._resolved, LONG_PRODUCT) is not None
+    assert registry._read_known(system._resolved, LONG_PRODUCT + last) is None
+    started = time.perf_counter()
+    outcome = _parse_outcome(lambda: parse_unit(system, LONG_PRODUCT + last))
+    assert time.perf_counter() - started < 1
+    if last == "*qq":
+        position = len(LONG_PRODUCT) + 1
+        assert outcome == (UnknownIdentifierError, f"unknown unit identifier 'qq' (at position {position})", position)
+    else:
+        assert len(outcome) == 3169 and outcome.exponent(as_preunit("m")) == 10
 
 
 EXPRESSION_TREES = st.recursive(
@@ -690,10 +710,10 @@ def fresh_siuk():
 
 
 def assert_memo_keys_are_identifiers(system):
-    # The parser takes a piece equal to a memo key from the memo unchecked.
+    # The memo walk takes a term equal to a memo key from the memo unchecked.
     for key in system._resolved:
         assert registry._IDENT_RE.fullmatch(key) and registry._OPERATOR_RE.split(key) == [key]
-        assert registry._CARET_RE.split(key) == [key]
+        assert registry._tokenize(key) == [("ident", key, 0), ("end", "", len(key))]
 
 
 def test_a_rendering_the_grammar_cannot_read_is_not_memoised():
@@ -708,9 +728,14 @@ def test_a_rendering_the_grammar_cannot_read_is_not_memoised():
     assert_memo_keys_are_identifiers(system)
 
 
+# Cuts text at its operators, keeping them: '*', '/', '(', ')', and each '^'
+# except one that starts the `^n_` inside an identifier such as `d^3_m`.
+SPACED_CUT = re.compile(r"([*/()]|\^(?!-?[0-9]+_))")
+
+
 def spaced(rng, text):
     """`text` with blanks put at random before its pieces and operators, '^' among them."""
-    parts = [piece for term in registry._OPERATOR_RE.split(text) for piece in registry._CARET_RE.split(term)]
+    parts = SPACED_CUT.split(text)
     return "".join(rng.choice(["", "", " ", "\t", "\u3000"]) + part for part in parts)
 
 
@@ -754,3 +779,44 @@ def test_a_warm_identifier_memo_parses_as_a_fresh_one_on_examples(text):
 )
 def test_a_warm_identifier_memo_parses_as_a_fresh_one(text, rng):
     assert_a_warm_memo_parses_as_a_fresh_one(text, rng)
+
+
+WARM_SIUK = fresh_siuk()
+
+
+def assert_the_memo_walk_reads_as_the_token_loop(text):
+    """On a warm memo `_read_known` gives the pairs `_read_tokens` gives, or None; it never raises."""
+    _parse_outcome(lambda: parse_unit(WARM_SIUK, text))  # memoises each identifier that resolves
+    text = registry._normalize(text)
+    known = registry._read_known(WARM_SIUK._resolved, text)
+    if known is not None:
+        assert known == registry._read_tokens(registry._tokenize(text), WARM_SIUK)
+    return known
+
+
+# Texts the memo walk takes once their identifiers are memoised.
+MEMO_WALK_TEXTS = [
+    "km*s^-2", "( km )^2", "s/(m)", "((m)^2)^-3/k_g", "d^3_m^2", " km / h^2_s^9",
+    "(" * MAX_UNIT_NESTING + "m" + ")" * MAX_UNIT_NESTING,
+]
+
+
+@pytest.mark.parametrize(
+    "text",
+    MEMO_WALK_TEXTS + MEMO_EDGE_TEXTS + ["(" * (MAX_UNIT_NESTING + 1) + "m" + ")" * (MAX_UNIT_NESTING + 1), "(m)(s)"],
+)
+def test_the_memo_walk_reads_as_the_token_loop_on_examples(text):
+    known = assert_the_memo_walk_reads_as_the_token_loop(text)
+    assert known is not None or text not in MEMO_WALK_TEXTS
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(
+        PARSER_TEXTS,
+        st.sampled_from(MEMO_EDGE_TEXTS),
+        st.randoms(use_true_random=False).map(lambda rng: spaced(rng, print_unit(SIUK, random_unit(rng, SIUK)))),
+    )
+)
+def test_the_memo_walk_reads_as_the_token_loop(text):
+    assert_the_memo_walk_reads_as_the_token_loop(text)
