@@ -130,6 +130,10 @@ CLI_REGISTRIES = {
     "malformed.reg": b"[units]\nx\n",
     "unknown.reg": b"[rules]\nqq 1 m\n",
     "empty.reg": b"",
+    # Dimension columns: ones that name dimensions declared after them, and exponents past one digit.
+    "forward.reg": b"[units]\nx D\ny (D*E)^-1\n[dimensions]\nD E\n",
+    "power.reg": b"[units]\nx L^10\ny (L*M)^-1/T^-9\n",
+    "selfloop.reg": b"[dimensions]\nD\n[units]\na D\nb D\n[rules]\na 2 a\nb 3 a\n",
 }
 SIUK = ("--registry", "si", "--registry", "uk")
 STEEP = ("--registry", "si", "--registry", "steep.reg")
@@ -172,6 +176,10 @@ CLI_CASES = [
     (["classify", "--registry", "malformed.reg"], None), (["classify", "--registry", "unknown.reg"], None),
     (["list", "units", "--registry", "unknown.reg"], None),
     (["explain", "x^3", *STEEP], None), (["convert", "x^3", "z^3", *STEEP], None),
+    # Dimension columns the memo walk declines, and a self-loop's cycle witness.
+    (["list", "units", "--registry", "forward.reg"], None),
+    (["dim", "x/y", "--registry", "si", "--registry", "power.reg"], None),
+    (["classify", "--registry", "selfloop.reg"], None),
     # An empty listing, and the shared options before the command, after it, and on both sides.
     (["list", "units", "--registry", "empty.reg"], None), (["--format", "structured", "convert", "m", "km"], None),
     (["--registry", "uk", "convert", "lb", "g", "--registry", "si", "--registry", "uk"], None),

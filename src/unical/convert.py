@@ -15,7 +15,6 @@ does not use).
 from __future__ import annotations
 
 from fractions import Fraction
-from graphlib import CycleError, TopologicalSorter
 from math import gcd
 from types import MappingProxyType
 from functools import total_ordering
@@ -263,27 +262,34 @@ class DependencyReport(Immutable):
 
 
 def _walk(forms: Mapping[str, _RuleForm]) -> tuple[Optional[tuple[str, ...]], list[str]]:
-    """Order the ruled symbols with graphlib, or name a cycle among them.
+    """Order the ruled symbols in one depth-first walk, or name a cycle among them.
 
-    Each rule's base is added as a predecessor of the ruled symbols its
-    replacement uses, so graphlib's cycle search walks from a rule to its
-    dependencies, from the smallest symbol and through each rule's
-    dependencies in sorted order: the first cycle it meets is the one a
-    depth-first walk in symbol order meets. Static order lists each rule
-    before its dependencies; the reverse is the dependency post-order.
+    The walk starts from each ruled symbol in symbol order and follows a
+    rule to the ruled symbols its replacement uses, in the order of its
+    pairs, skipping symbols already finished. A symbol met again on the
+    current path closes a cycle: the path from that symbol is returned as
+    the witness, with no order. Otherwise the finish order is returned:
+    the dependency post-order, each symbol after every ruled symbol its
+    rule uses.
     """
-    sorter = TopologicalSorter()
-    for base in forms:  # in symbol order, as are each form's pairs
-        sorter.add(base)
-    for base, (_, pairs, _) in forms.items():
-        for symbol, _ in pairs:
-            if symbol in forms:
-                sorter.add(symbol, base)
-    try:
-        order = list(sorter.static_order())
-    except CycleError as error:
-        return tuple(error.args[1][:-1]), []
-    return None, order[::-1]
+    finished: dict[str, None] = {}  # in finish order
+    for start in forms:  # in symbol order, as are each form's pairs
+        if start in finished:
+            continue
+        on_path, pending = {start: 0}, [iter(forms[start][1])]  # each symbol on the path, by its place
+        while pending:
+            for symbol, _ in pending[-1]:
+                if symbol in on_path:
+                    return tuple(on_path)[on_path[symbol]:], []
+                if symbol in forms and symbol not in finished:
+                    on_path[symbol] = len(on_path)
+                    pending.append(iter(forms[symbol][1]))
+                    break
+            else:
+                pending.pop()
+                done, _ = on_path.popitem()  # the path's last symbol
+                finished[done] = None
+    return None, list(finished)
 
 
 def analyze(system: UnitSystem, conversion: DefiningConversion) -> DependencyReport:
@@ -428,13 +434,9 @@ def _expand(
             common = gcd(n, d)
             if len(memo) >= MAX_MEMO_IDENTIFIERS:
                 memo.clear()
-            memo[preunit] = (n // common, d // common, factor_bits, _table_entry(table, preunit.base)[3])
+            entry = table.get(preunit.base)  # a symbol without one stands for itself
+            memo[preunit] = (n // common, d // common, factor_bits, ((preunit.base, 1),) if entry is None else entry[3])
     return _substitute(table, refused, powers, bases)
-
-
-def _table_entry(table: Mapping[str, _Factor], base: str) -> _Factor:
-    """A symbol's table entry; a symbol without one stands for itself."""
-    return table.get(base) or (1, 1, 0, ((base, 1),))
 
 
 def _substitute(
@@ -449,14 +451,18 @@ def _substitute(
     the unit reaches. The prefix values and the substituted normal forms
     are then multiplied out together by `numeric._ratio_product`, which
     refuses a "rewritten factor" past MAX_RATIO_BITS before any power is
-    taken. Returns its numerator, denominator and bits, and the root's
-    pairs.
+    taken. A symbol without a table entry stands for itself. Returns
+    the numerator, denominator and bits, and the root's pairs.
     """
     expanded: dict[str, int] = {}
     for base, z in sorted(bases.items()):
         if z and base in refused:
             raise RatioError(refused[base])
-        n, d, _, pairs = _table_entry(table, base)
+        entry = table.get(base)
+        if entry is None:
+            expanded[base] = expanded.get(base, 0) + z
+            continue
+        n, d, _, pairs = entry
         powers.append(((n, d), z))
         for symbol, e in pairs:
             expanded[symbol] = expanded.get(symbol, 0) + e * z

@@ -16,6 +16,7 @@ import os
 import re
 import unicodedata
 from fractions import Fraction
+from itertools import islice
 from operator import itemgetter
 from typing import Any, Iterable, Mapping, NamedTuple, Optional
 
@@ -161,7 +162,7 @@ def _preunit_order(item: tuple[PreUnit, int]) -> tuple[str, Prefix]:
     return item[0].base, item[0].prefix  # PreUnit's order, compared without `PreUnit.__lt__`
 
 
-def _read_known(memo: Mapping[str, PreUnit], text: str) -> Optional[list[tuple[PreUnit, int]]]:
+def _read_known(memo: Mapping[str, Any], text: str) -> Optional[list[tuple[Any, int]]]:
     """The (generator, exponent) pairs of text made of memo keys only, else None.
 
     The text is cut at '*', '/', '(' and ')' into terms, each a memo key,
@@ -173,7 +174,7 @@ def _read_known(memo: Mapping[str, PreUnit], text: str) -> Optional[list[tuple[P
     parts = _OPERATOR_RE.split(text)
     parts.append("")  # the operator after the last term: the end of input
     terms = iter(parts)
-    pairs: list[tuple[PreUnit, int]] = []
+    pairs: list[tuple[Any, int]] = []
     open_terms: list[tuple[int, int]] = []  # (start, sign) of each term opened by '('
     start, sign, closed = 0, 1, False  # `closed`: the term follows a ')'
     for term, operator in zip(terms, terms):
@@ -255,15 +256,18 @@ def _read_tokens(tokens: list[_Token], system: Optional[UnitSystem]) -> list[tup
             start, sign = open_terms.pop()
 
 
-def _parse_expression(expression: str, system: Optional[UnitSystem] = None) -> ExponentMap:
+def _parse_expression(
+    expression: str, memo: Optional[Mapping] = None, system: Optional[UnitSystem] = None
+) -> ExponentMap:
     """Parse expression text over the grammar above into a canonical map, in time linear in the text.
 
-    Text that `_read_known` does not take from the system's memo, and a
-    dimension column (no `system`), is read by `_read_tokens`. A repeated
-    generator's exponents are summed in one dict at the end.
+    `_read_known` walks `memo`: a system's identifier memo, or for a
+    dimension column the dimensions declared so far, each standing for
+    itself. Text it declines is read by `_read_tokens`, resolving in
+    `system`. A repeated generator's exponents are summed in one dict.
     """
     text = _normalize(expression)
-    pairs = None if system is None else _read_known(system._resolved, text)
+    pairs = None if memo is None else _read_known(memo, text)
     if pairs is None:
         pairs = _read_tokens(_tokenize(text), system)
     if len(pairs) == 1:  # one identifier: nothing to sum or sort
@@ -354,14 +358,22 @@ def _resolve_greedy(system: UnitSystem, text: str) -> Optional[PreUnit]:
     return None
 
 
+def _memo_admits(text: str) -> bool:
+    """Whether a system's memo may keep `text`'s resolution.
+
+    It keeps text of at most MAX_MEMO_IDENTIFIER_LEN characters that the
+    grammar reads as one identifier, so the memo walk may take any key
+    unchecked.
+    """
+    return len(text) <= MAX_MEMO_IDENTIFIER_LEN and _IDENT_RE.fullmatch(text) is not None
+
+
 def _resolve_identifier(system: UnitSystem, text: str, position: int = 0) -> PreUnit:
     """The prefixed base unit an identifier names, through the system's memo.
 
-    Only successful resolutions of identifiers up to
-    MAX_MEMO_IDENTIFIER_LEN characters are kept, so an unknown
-    identifier raises with its own position each time it occurs; and
-    only text the grammar reads as one identifier, so that the memo walk
-    may take any key from the memo unchecked.
+    Only successful resolutions are kept, under `_memo_admits`, so an
+    unknown identifier raises with its own position each time it occurs;
+    a full memo is cleared first.
     """
     memo = system._resolved
     preunit = memo.get(text)
@@ -374,7 +386,7 @@ def _resolve_identifier(system: UnitSystem, text: str, position: int = 0) -> Pre
             preunit = _resolve_greedy(system, text)
         if preunit is None:
             raise UnknownIdentifierError(f"unknown unit identifier {text!r}", position)
-        if len(text) <= MAX_MEMO_IDENTIFIER_LEN and _IDENT_RE.fullmatch(text):
+        if _memo_admits(text):
             if len(memo) >= MAX_MEMO_IDENTIFIERS:
                 memo.clear()
             memo[text] = preunit
@@ -391,7 +403,7 @@ def parse_unit(system: UnitSystem, text: str) -> Unit:
     NFKC-normalized first, so e.g. the micro sign and the ohm sign match
     their Greek-letter registry spellings.
     """
-    return _parse_expression(text, system)
+    return _parse_expression(text, system._resolved, system)
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +514,8 @@ def parse_document(text: str) -> RegistryDocument:
     prefixes: list[_PrefixEntry] = []
     units: list[_UnitEntry] = []
     rules: list[_RuleEntry] = []
-    seen: dict[str, set[str]] = {"dimensions": set(), "prefixes": set(), "units": set(), "rules": set()}
+    declared: dict[str, str] = {}  # each dimension declared so far, standing for itself, for the memo walk
+    seen: dict[str, Any] = {"dimensions": declared, "prefixes": set(), "units": set(), "rules": set()}
     section: Optional[str] = None
     for number, raw in enumerate(_normalize(text).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -520,9 +533,9 @@ def parse_document(text: str) -> RegistryDocument:
         if section == "dimensions":
             for symbol in fields:
                 _check_symbol(symbol, _PLAIN_SYMBOL_RE, "dimension", number)
-                if symbol in seen["dimensions"]:
+                if symbol in declared:
                     raise RegistryError(f"duplicate dimension {symbol!r}", number)
-                seen["dimensions"].add(symbol)
+                declared[symbol] = symbol
                 dimensions.append((symbol, number))
         elif section == "prefixes":
             if len(fields) != 2:
@@ -542,7 +555,7 @@ def parse_document(text: str) -> RegistryDocument:
             seen["units"].add(symbol)
             expression = line[len(fields[0]):].strip()
             try:
-                dimension = _parse_expression(expression)
+                dimension = _parse_expression(expression, declared)
             except UnitSyntaxError as error:
                 raise RegistryError(f"bad dimension expression: {error}", number) from None
             units.append(_UnitEntry(symbol, dimension, number))
@@ -634,6 +647,10 @@ def build_system(
                 )
         unit_dimensions[entry.symbol] = entry.dimension
     system = UnitSystem(dimension_symbols, prefix_values, unit_dimensions)
+    # Each unit symbol resolves to itself, so the memo walk reads a rule of bare symbols on first sight.
+    for symbol in islice(unit_dimensions, MAX_MEMO_IDENTIFIERS):
+        if _memo_admits(symbol):
+            system._resolved[symbol] = PreUnit(em_empty(), symbol)
     checked = {}
     for entry in document.rules:
         if entry.pathological and not include_pathological:

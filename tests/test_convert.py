@@ -1,3 +1,4 @@
+import graphlib
 import operator
 import random
 import sys
@@ -204,6 +205,60 @@ def test_analyze_names_a_real_cycle_or_the_depths_of_a_dag(graph):
         assert len(set(cycle)) == len(cycle)
         for here, following in zip(cycle, cycle[1:] + cycle[:1]):
             assert following in graph[here]
+
+
+def graphlib_walk(forms):
+    """The rule walk as graphlib gives it: the cycle its search meets first, or the reversed static order.
+
+    Each ruled symbol is added in symbol order, then each rule's base as a
+    predecessor of the ruled symbols its form uses, in the order of its pairs.
+    """
+    sorter = graphlib.TopologicalSorter()
+    for base in forms:
+        sorter.add(base)
+    for base, (_, pairs, _) in forms.items():
+        for symbol, _ in pairs:
+            if symbol in forms:
+                sorter.add(symbol, base)
+    try:
+        return None, list(sorter.static_order())[::-1]
+    except graphlib.CycleError as error:
+        return tuple(error.args[1][:-1]), []
+
+
+def assert_the_walk_matches_graphlib(system, conversion):
+    forms = CONVERT_MODULE._compile(system, conversion).forms
+    cycle, order = CONVERT_MODULE._walk(forms)
+    expected_cycle, expected_order = graphlib_walk(forms)
+    assert cycle == expected_cycle
+    if cycle is not None:
+        assert order == []
+        return
+    # Each ruled symbol once, after every ruled symbol its form uses.
+    assert sorted(order) == list(forms)
+    place = {symbol: index for index, symbol in enumerate(order)}
+    for base, (_, pairs, _) in forms.items():
+        assert all(place[symbol] < place[base] for symbol, _ in pairs if symbol in forms)
+    # `analyze`'s depths as graphlib's order gives them.
+    depth = dict.fromkeys(system.base_units, 0)
+    for symbol in expected_order:
+        depth[symbol] = 1 + max((depth[s] for s, _ in forms[symbol][1]), default=0)
+    report = analyze(system, conversion)
+    assert dict(report.depth) == depth and report.iteration_bound == max(depth.values(), default=0)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [{"a": "a"}, {"x": "y", "y": "x", "a": "b", "b": "a"}, {"a": "b", "b": "c", "c": "a", "d": "a"}, {}],
+    ids=["self-loop", "two-cycles", "feeder", "no-rules"],
+)
+def test_the_rule_walk_matches_graphlib_on_examples(graph):
+    assert_the_walk_matches_graphlib(*rule_graph(graph))
+
+
+@given(st.dictionaries(st.sampled_from("abcdefgxy"), st.lists(st.sampled_from("abcdefgxy"), max_size=3)))
+def test_the_rule_walk_matches_graphlib_on_rule_graphs(graph):
+    assert_the_walk_matches_graphlib(*rule_graph(graph))
 
 
 def test_xpd_returns_rule_or_identity():
@@ -683,6 +738,17 @@ def test_compiled_rule_forms_match_the_reference(rng, kind):
         # A mapping that changes dimension is not defining: it is frozen as it is.
         conversion = DefiningConversion(rules) if changing_dimension else defining_conversion(system, rules)
     assert_the_rule_forms_match_the_reference(system, conversion)
+
+
+@given(st.randoms(use_true_random=False), st.sampled_from(RULE_SET_KINDS))
+def test_the_rule_walk_matches_graphlib_on_random_rule_sets(rng, kind):
+    if kind == "chain":
+        base_count = rng.randint(2, 8)
+        system, conversion, _ = random_chain_system(rng, base_count, rng.randint(1, base_count - 1), 0.5)
+    else:
+        system, rules, _ = random_cyclic_rules(rng, kind == "consistent", 0.5, kind == "changing dimension")
+        conversion = DefiningConversion(rules)
+    assert_the_walk_matches_graphlib(system, conversion)
 
 
 def test_loaded_rules_keep_the_forms_compiled_at_load():

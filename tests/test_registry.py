@@ -45,7 +45,17 @@ from unical import (
 )
 from unical import registry
 from unical.registry import MAX_MEMO_IDENTIFIER_LEN, MAX_REGISTRY_BYTES, _parse_expression, _resolve_identifier
-from support import as_preunit, bare, random_unit, reference_parse, reference_tokenize, unit_of
+from support import (
+    as_preunit,
+    bare,
+    chain_registry_text,
+    dense_cycle_registry_text,
+    random_chain_system,
+    random_unit,
+    reference_parse,
+    reference_tokenize,
+    unit_of,
+)
 
 SI, SI_RULES = load_registry(bundled_registry("si"))
 
@@ -820,3 +830,154 @@ def test_the_memo_walk_reads_as_the_token_loop_on_examples(text):
 )
 def test_the_memo_walk_reads_as_the_token_loop(text):
     assert_the_memo_walk_reads_as_the_token_loop(text)
+
+
+# ---------------------------------------------------------------------------
+# The identifier memo a loaded system starts with, and dimension columns.
+
+
+def test_a_loaded_system_starts_with_each_unit_symbol_memoised():
+    system, _ = load_registry(bundled_registry("si"), bundled_registry("uk"))
+    assert len(system.base_units) == 33
+    for symbol in system.base_units:
+        assert system._resolved[symbol] == PreUnit(em_empty(), symbol)
+    assert_memo_keys_are_identifiers(system)
+
+
+def test_rules_and_columns_of_bare_symbols_load_without_the_tokenizer(monkeypatch):
+    calls = []
+    tokenize = registry._tokenize
+    monkeypatch.setattr(registry, "_tokenize", lambda text: calls.append(text) or tokenize(text))
+    system, rules = load_registry("[dimensions]\nL T\n[units]\nft L\nch L\nv L/T^2\n[rules]\nft 5 ch\nch 1/5 ft\n")
+    assert calls == []
+    assert system.base_units["v"] == ExponentMap({"L": 1, "T": -2})
+    assert rules.rules["ft"] == (Fraction(5), bare("ch"))
+
+
+HEX_LETTERS = str.maketrans("0123456789", "ghijklmnop")  # registry symbols hold no digits
+
+
+def unit_document(symbols):
+    return registry.RegistryDocument((("L", 1),), (), tuple(registry._UnitEntry(s, em_delta("L"), 2) for s in symbols))
+
+
+def test_only_symbols_the_memo_walk_may_take_are_seeded():
+    at_cap, over_cap = "u" * MAX_MEMO_IDENTIFIER_LEN, "u" * (MAX_MEMO_IDENTIFIER_LEN + 1)
+    system, _ = build_system(unit_document(["a b", over_cap, at_cap, "m^2", "d^3_m", "m"]))
+    assert system._resolved == {symbol: PreUnit(em_empty(), symbol) for symbol in (at_cap, "d^3_m", "m")}
+    assert_memo_keys_are_identifiers(system)
+
+
+def test_no_more_unit_symbols_are_seeded_than_the_memo_holds():
+    symbols = [f"u{index:x}".translate(HEX_LETTERS) for index in range(registry.MAX_MEMO_IDENTIFIERS + 10)]
+    system, _ = build_system(unit_document(symbols))
+    assert list(system._resolved) == symbols[: registry.MAX_MEMO_IDENTIFIERS]
+    assert parse_unit(system, f"{symbols[-1]}*{symbols[0]}") == unit_of((symbols[-1], 1), (symbols[0], 1))
+
+
+def assert_a_seeded_memo_parses_as_a_cleared_one(system, seeded, text):
+    system._resolved.clear()
+    cleared = _parse_outcome(lambda: parse_unit(system, text))
+    system._resolved.clear()
+    system._resolved.update(seeded)
+    assert _parse_outcome(lambda: parse_unit(system, text)) == cleared
+
+
+SEEDED_SIUK, _ = load_registry(bundled_registry("si"), bundled_registry("uk"))
+SEEDED_SIUK_MEMO = dict(SEEDED_SIUK._resolved)
+
+
+@settings(max_examples=200)
+@given(
+    st.one_of(
+        PARSER_TEXTS,
+        st.sampled_from(MEMO_WALK_TEXTS + MEMO_EDGE_TEXTS),
+        st.randoms(use_true_random=False).map(lambda rng: spaced(rng, print_unit(SIUK, random_unit(rng, SIUK)))),
+    )
+)
+def test_a_seeded_memo_parses_as_a_cleared_one_on_si_and_uk(text):
+    assert_a_seeded_memo_parses_as_a_cleared_one(SEEDED_SIUK, SEEDED_SIUK_MEMO, text)
+
+
+def lettered(text):
+    """Text over a chain system's bases b0.., each spelled with a letter for its digit: bg, bh, ..."""
+    return re.sub(r"(?<=b)[0-9]", lambda digit: digit[0].translate(HEX_LETTERS), text)
+
+
+@settings(max_examples=50)
+@given(st.randoms(use_true_random=False))
+def test_a_seeded_memo_parses_as_a_cleared_one_on_chain_systems(rng):
+    # A chain of rules without prefixes, written out as a registry (bases b0.. spelled bg..) and loaded.
+    base_count = rng.randint(2, 8)
+    chain, conversion, bases = random_chain_system(rng, base_count, rng.randint(1, base_count - 1), 0)
+    texts = {base: lettered(print_unit(chain, unit)) for base, (_, unit) in conversion.rules.items()}
+    lines = ["[units]", *(f"{lettered(base)} 1" for base in bases), "[rules]"]
+    lines += [f"{lettered(base)} {conversion.rules[base][0]} {text}" for base, text in texts.items()]
+    system, rules = load_registry("\n".join(lines) + "\n")
+    assert {base: print_unit(system, unit) for base, (_, unit) in rules.rules.items()} == {
+        lettered(base): text for base, text in texts.items()
+    }
+    seeded = dict(system._resolved)
+    randoms = [lettered(print_unit(chain, random_unit(rng, chain, prefix_chance=0))) for _ in range(5)]
+    for text in [*texts.values(), *(spaced(rng, text) for text in randoms), "bg*qq", "bg^", "(bh/bg"]:
+        assert_a_seeded_memo_parses_as_a_cleared_one(system, seeded, text)
+
+
+def dimension_columns(text):
+    """Each `[units]` line's dimension column in registry text, with the dimensions the text declares before it."""
+    section, declared = None, {}
+    for raw in registry._normalize(text).splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line.startswith("[") and line.endswith("]"):
+            section = line[1:-1].strip()
+        elif line and section == "dimensions":
+            declared.update((symbol, symbol) for symbol in line.split())
+        elif line and section == "units":
+            yield line[len(line.split()[0]):].strip(), dict(declared)
+
+
+FORWARD_DIMENSIONS = "[units]\nx D\ny D^2*E\n[dimensions]\nD E\n"
+DIMENSION_REGISTRIES = [
+    bundled_registry("si"), bundled_registry("uk"), SAMPLE, chain_registry_text(50)[0],
+    dense_cycle_registry_text(20), FORWARD_DIMENSIONS,
+]
+
+
+@pytest.mark.parametrize("text", DIMENSION_REGISTRIES, ids=["si", "uk", "sample", "chain", "dense", "forward"])
+def test_dimension_columns_read_as_the_token_loop_reads_them(text):
+    columns = list(dimension_columns(text))
+    assert [unit.dimension for unit in parse_document(text).units] == [_parse_expression(c) for c, _ in columns]
+    for column, declared in columns:
+        expected = registry._read_tokens(registry._tokenize(column), None)
+        known = registry._read_known(declared, column)
+        assert known is None or known == expected
+        assert _parse_expression(column, declared) == _parse_expression(column)
+        # The walk takes each column made of declared dimensions.
+        assert (known is None) == (column == "1" or not declared)
+
+
+def test_dimensions_declared_after_their_use_or_in_another_document_load():
+    expected = {"x": ExponentMap({"D": 1}), "y": ExponentMap({"D": 2, "E": 1})}
+    for texts in ((FORWARD_DIMENSIONS,), ("[units]\nx D\ny D^2*E\n", "[dimensions]\nD E\n")):
+        system, _ = load_registry(*texts)
+        assert dict(system.base_units) == expected
+
+
+def test_dimension_columns_past_the_short_exponents_read_as_before():
+    document = parse_document("[dimensions]\nL M\n[units]\na L^10\nb (L*M)^-1\nc 1\nd L^-9 / M\n")
+    assert [unit.dimension for unit in document.units] == [
+        ExponentMap({"L": 10}), ExponentMap({"L": -1, "M": -1}), em_empty(), ExponentMap({"L": -9, "M": -1}),
+    ]
+
+
+@pytest.mark.parametrize(
+    "column, message",
+    [
+        ("(L", "line 4: bad dimension expression: expected ')', found 'end of input' (at position 2)"),
+        ("L^2)", "line 4: bad dimension expression: unexpected trailing input ')' (at position 3)"),
+    ],
+)
+def test_a_bad_dimension_column_is_refused_with_its_line(column, message):
+    with pytest.raises(RegistryError) as info:
+        parse_document(f"[dimensions]\nL\n[units]\nx {column}\n")
+    assert (str(info.value), info.value.line) == (message, 4)

@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import json
 import os
 import re
 import runpy
@@ -159,3 +160,15 @@ def test_outcome_digest_dumps_the_lines_it_hashes(tmp_path):
     lines = dump.read_bytes().splitlines(keepends=True)
     digest = hashlib.sha256(b"".join(lines)).hexdigest()
     assert dumped.stdout == f"outcomes: {len(lines)}\nsha256: {digest}\n"
+
+
+def test_step_count_prints_one_json_line_of_counts_per_case():
+    command = [sys.executable, str(SCRIPTS / "step_count.py"), "--cases", "5"]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run(command, capture_output=True, text=True, timeout=120, check=True, env=env)
+    assert not run.stderr and run.stdout.count("\n") == 1
+    counts = json.loads(run.stdout)
+    assert list(counts) == ["convert_mix", "classify_cycles"]
+    for workload in counts.values():
+        assert workload["cases"] == 5
+        assert workload["bytecodes_per_case"] > workload["calls_per_case"] > 0
