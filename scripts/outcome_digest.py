@@ -144,14 +144,16 @@ CLI_CASES = [
         for argv in (
             ["convert", "lb*g_n", "N", *SIUK], ["convert", "m", "s"], ["norm", "k_g*ms^-1"], ["eval", "Mi_m/k_s"],
             ["eval", "L", "--registry", "si", "--registry", "litre.reg"], ["dim", "J/s"], ["explain", "kJ/s"],
-            ["classify"], ["classify", "--registry", "cyclic.reg"], ["list", "units", *SIUK], ["list", "prefixes"],
-            ["list", "dimensions"],
+            ["classify"], ["classify", "--registry", "cyclic.reg"], ["depth"], ["census", "hW"],
+            ["list", "units", *SIUK], ["list", "prefixes"], ["list", "dimensions"],
         )
         for form in ([], ["--format", "plain"], ["--format", "structured"])
     ),
     *(
         ([*command, "--help"], None)
-        for command in ([], ["convert"], ["norm"], ["eval"], ["dim"], ["explain"], ["classify"], ["list"])
+        for command in (
+            [], ["convert"], ["norm"], ["eval"], ["dim"], ["explain"], ["classify"], ["depth"], ["census"], ["list"]
+        )
     ),
     (["-h"], None), (["list", "-h"], None),
     ([], None), (["convert"], None), (["convert", "m"], None), (["convert", "m", "km", "s"], None),
@@ -180,6 +182,11 @@ CLI_CASES = [
     (["list", "units", "--registry", "forward.reg"], None),
     (["dim", "x/y", "--registry", "si", "--registry", "power.reg"], None),
     (["classify", "--registry", "selfloop.reg"], None),
+    # Rule depths over cyclic rules; spellings of a factor that is no power of ten, spellings
+    # past the listing cap, and a unit past the census limit; a registry that is a directory.
+    (["depth", "--registry", "cyclic.reg"], None), (["depth", "--registry", "selfloop.reg"], None),
+    (["census", "lb", *SIUK], None), (["census", "W*A"], None),
+    (["census", "m^1000003*s^61*g^3721*A^226981*K^7"], None), (["list", "units", "--registry", "."], None),
     # An empty listing, and the shared options before the command, after it, and on both sides.
     (["list", "units", "--registry", "empty.reg"], None), (["--format", "structured", "convert", "m", "km"], None),
     (["--registry", "uk", "convert", "lb", "g", "--registry", "si", "--registry", "uk"], None),

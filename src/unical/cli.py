@@ -2,8 +2,9 @@
 
 One-shot queries against one or more registries: convert between units,
 normalize or evaluate a unit expression, query its dimension, classify
-the loaded rule set, or trace the rewriting steps. Structured output
-mode prints a single JSON object per invocation for scripting.
+the loaded rule set, trace the rewriting steps, report rule depths, or
+count a unit's prefixed spellings. Structured output mode prints a
+single JSON object per invocation for scripting.
 
 Exit codes: 0 success, 1 not convertible, 2 parse or registry error,
 3 rules not well-defining.
@@ -12,6 +13,7 @@ Exit codes: 0 success, 1 not convertible, 2 parse or registry error,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from fractions import Fraction
@@ -27,7 +29,7 @@ from .convert import (
     rwr_eval,
     rwr_star,
 )
-from .model import UnitSystem, UnknownSymbolError, dim, evaluate, norm
+from .model import UnitSystem, UnknownSymbolError, dim, evaluate, norm, root as root_of
 from .numeric import MAX_DECIMAL_DIGITS, RatioError, ratio_text, ratio_to_decimal
 from .registry import (
     RegistryError,
@@ -56,7 +58,14 @@ EXIT_NOT_WELL_DEFINING = 3
 
 REGISTRY_ENV_VAR = "UNICAL_REGISTRY"
 
-_INPUT_ERRORS = (RegistryError, UnitSyntaxError, UnknownSymbolError, RatioError, RuleError, OSError)
+_INPUT_ERRORS = (RegistryError, UnitSyntaxError, UnknownSymbolError, RatioError, RuleError)
+
+# The census counts apart the spellings whose prefixes all lie within the
+# range before ronna and quetta (2022). Its tables hold at most
+# MAX_CENSUS_SUMS partial sums, and it lists at most CENSUS_SHOWN spellings.
+CENSUS_LEGACY_EXPONENT = 24
+MAX_CENSUS_SUMS = 100_000
+CENSUS_SHOWN = 20
 
 # A command body takes the loaded system, its rules and the parsed
 # arguments, and returns (exit code, structured fields, plain lines).
@@ -182,6 +191,86 @@ def _explain(system: UnitSystem, rules: DefiningConversion, args: argparse.Names
     return EXIT_OK, {"eval": start, "steps": steps, "fixpoint": fixpoint}, lines
 
 
+def _depth(system: UnitSystem, rules: DefiningConversion, args: argparse.Namespace) -> Outcome:
+    report = analyze(system, rules)
+    if not report.well_founded:
+        raise NotWellDefiningError(report.cycle_witness)
+    depth = {symbol: report.depth[symbol] for symbol in sorted(rules.rules, key=lambda s: (report.depth[s], s))}
+    uses = {symbol: list(root_of(rules.rules[symbol][1]).support()) for symbol in depth}
+    width = max(map(len, depth), default=1)
+    lines = [f"{symbol:<{width}}  depth {d}  uses: {', '.join(uses[symbol]) or '-'}" for symbol, d in depth.items()]
+    lines.append(f"pass bound for any conversion: {report.iteration_bound}")
+    return EXIT_OK, {"depth": depth, "uses": uses, "iteration_bound": report.iteration_bound}, lines
+
+
+def _decimal_exponent(value: Fraction) -> Optional[int]:
+    """The integer e with value == 10^e, or None."""
+    power = max(value.numerator, value.denominator)
+    exponent = round(math.log10(power))
+    if min(value.numerator, value.denominator) != 1 or 10**exponent != power:
+        return None
+    return exponent if value.numerator == power else -exponent
+
+
+def _census(system: UnitSystem, rules: DefiningConversion, args: argparse.Namespace) -> Outcome:
+    # A spelling gives each slot, symbol^z, of the unit's expanded root a prefix worth
+    # 10^e, or none (e = 0). It matches when the target's factor is 10^(sum of e*z).
+    target = rwr_star(system, rules, parse_unit(system, args.unit))
+    slots = target.root.items()
+    decimal = {_decimal_exponent(value): symbol for symbol, value in sorted(system.base_prefixes.items())}
+    prefixes = {**{exponent: symbol for exponent, symbol in decimal.items() if exponent}, 0: ""}
+    exponents = sorted(prefixes)
+    # tables[i] maps each sum the slots from i on reach to the number of
+    # assignments that reach it, and of those within the legacy range.
+    tables, size = [{0: (1, 1)}], 1
+    for _, power in reversed(slots):
+        table: dict[int, tuple[int, int]] = {}
+        for exponent in exponents:
+            legacy = abs(exponent) <= CENSUS_LEGACY_EXPONENT
+            for total, (count, within) in tables[-1].items():
+                before, before_within = table.get(total + exponent * power, (0, 0))
+                table[total + exponent * power] = (before + count, before_within + within * legacy)
+            if size + len(table) > MAX_CENSUS_SUMS:
+                raise UnitSyntaxError(f"census of {args.unit!r} is over MAX_CENSUS_SUMS = {MAX_CENSUS_SUMS} partial sums")
+        size += len(table)
+        tables.append(table)
+    tables.reverse()
+    goal = _decimal_exponent(target.factor)
+    matching, within = (0, 0) if goal is None else tables[0].get(goal, (0, 0))
+
+    # The spellings outside the legacy range, in itertools.product order over `exponents`, each
+    # found by its rank: the tables count how many of them each choice of prefix leads to.
+    listed = []
+    for rank in range(min(matching - within, CENSUS_SHOWN)):
+        rest, extended, parts = goal, False, []
+        for index, (symbol, power) in enumerate(slots):
+            for exponent in exponents:
+                count, legacy = tables[index + 1].get(rest - exponent * power, (0, 0))
+                wider = extended or abs(exponent) > CENSUS_LEGACY_EXPONENT
+                if rank < count - legacy * (not wider):
+                    break
+                rank -= count - legacy * (not wider)
+            rest, extended = rest - exponent * power, wider
+            parts.append(f"{prefixes[exponent]}{symbol}" + (f"^{power}" if power != 1 else ""))
+        listed.append("*".join(parts))
+
+    unlisted = matching - within - len(listed)
+    evaluated, slot_text = print_evaluated(system, target), ", ".join(f"{symbol}^{power}" for symbol, power in slots)
+    lines = [
+        f"target: {args.unit} = {evaluated}",
+        f"slots: {slot_text}",
+        f"decimal prefix exponents available: {len(exponents)} (incl. bare)",
+        f"matching spellings: {matching}",
+        f"within |exponent| <= {CENSUS_LEGACY_EXPONENT}: {within}",
+        *(["needing the extended prefix range:"] if listed else []),
+        *(f"  {spelling}" for spelling in listed),
+        *([f"… and {unlisted} more"] if unlisted else []),
+    ]
+    fields = {"target": evaluated, "slots": slot_text, "exponents": len(exponents), "matching": matching}
+    fields.update(within_legacy=within, extended=listed, extended_unlisted=unlisted)
+    return EXIT_OK, fields, lines
+
+
 def _list(system: UnitSystem, rules: DefiningConversion, args: argparse.Namespace) -> Outcome:
     if args.kind == "units":
         entries = [
@@ -208,6 +297,8 @@ _COMMANDS = {
     "dim": (_dim, False, {"unit": None}, "dimension of a unit"),
     "explain": (_explain, True, {"unit": None}, "trace rewriting steps to the fixpoint"),
     "classify": (_classify, True, {}, "classify the loaded rule set"),
+    "depth": (_depth, True, {}, "expansion depth and direct dependencies of each rule"),
+    "census": (_census, True, {"unit": None}, "count the prefixed spellings of a unit's value"),
     "list": (_list, False, {"kind": ("units", "prefixes", "dimensions")}, "list registered symbols"),
 }
 

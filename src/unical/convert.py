@@ -238,8 +238,7 @@ class DependencyReport(Immutable):
     depth (zero for symbols without a rule) and `iteration_bound` the
     number of parallel rewriting passes after which every unit is fully
     expanded; otherwise both are None and `cycle_witness` lists one cycle
-    in visiting order. Transitive dependencies are left to
-    `scripts/depth_report.py`, the one reader that needs them.
+    in visiting order. The CLI's `depth` command lists direct dependencies.
     """
 
     __slots__ = ("well_founded", "cycle_witness", "depth", "iteration_bound")

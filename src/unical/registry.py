@@ -681,10 +681,14 @@ def load_registry(*texts: str, include_pathological: bool = True) -> tuple[UnitS
 def _read_text(path: str, name: str) -> str:
     """Text of the registry `name` stored at `path`: UTF-8, less one leading byte-order mark.
 
-    At most MAX_REGISTRY_BYTES are read; a longer file is refused.
+    At most MAX_REGISTRY_BYTES are read; a longer file is refused, as is
+    one that cannot be opened or read.
     """
-    with open(path, "rb") as handle:
-        data = handle.read(MAX_REGISTRY_BYTES + 1)
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read(MAX_REGISTRY_BYTES + 1)
+    except OSError as error:
+        raise RegistryError(f"registry {name!r} cannot be read: {error.strerror}") from None
     if len(data) > MAX_REGISTRY_BYTES:
         raise RegistryError(f"registry {name!r} is over MAX_REGISTRY_BYTES = {MAX_REGISTRY_BYTES} bytes")
     try:

@@ -177,6 +177,11 @@ def random_cyclic_system(rng, consistent, prefix_chance=0.3):
     return system, defining_conversion(system, rules), factor
 
 
+def unit_symbols(count):
+    """`count` distinct four-letter unit symbols: qaaa, qaab, and so on."""
+    return [f"q{chr(97 + i // 676)}{chr(97 + i // 26 % 26)}{chr(97 + i % 26)}" for i in range(count)]
+
+
 def chain_registry_text(length):
     """A registry of `length` units in one chain of rules, each worth 2 of the next.
 
@@ -184,7 +189,7 @@ def chain_registry_text(length):
     2^(length - 1) of the last, and the rules' iteration bound is
     length - 1.
     """
-    symbols = [f"q{chr(97 + i // 676)}{chr(97 + i // 26 % 26)}{chr(97 + i % 26)}" for i in range(length)]
+    symbols = unit_symbols(length)
     lines = ["[dimensions]", "D", "", "[units]"]
     lines += [f"{symbol} D" for symbol in symbols]
     lines += ["", "[rules]"]
@@ -201,7 +206,7 @@ def dense_cycle_registry_text(count, seed=0):
     cubic in `count`.
     """
     rng = random.Random(seed)
-    symbols = [f"q{chr(97 + i // 676)}{chr(97 + i // 26 % 26)}{chr(97 + i % 26)}" for i in range(count)]
+    symbols = unit_symbols(count)
     lines = ["[dimensions]", "L", "", "[units]"]
     lines += [f"{symbol} L" for symbol in symbols]
     lines += ["", "[rules]"]

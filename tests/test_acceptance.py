@@ -3,8 +3,9 @@
 Expected values are frozen independently of the engine: the impulse and
 volume ratios are worked out by integer arithmetic on the registry
 definitions, the derived-unit table rows are hand-derived exponent
-vectors, and the hectowatt census is a brute-force count (see
-scripts/prefix_census.py). Every ratio comparison is exact.
+vectors, and the hectowatt census is a brute-force count (the CLI's
+`census` command counts it with a table of partial sums). Every ratio
+comparison is exact.
 """
 
 import random

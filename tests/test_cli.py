@@ -1,3 +1,6 @@
+import contextlib
+import io
+import itertools
 import json
 import subprocess
 import sys
@@ -6,6 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import unical
 from unical.cli import main
@@ -449,7 +454,7 @@ def run_exiting(capsys, *argv):
 # Only these parts of argparse's pages are pinned: their layout differs between Python versions.
 def test_help_lists_the_commands_in_order(capsys):
     code, out, _ = run_exiting(capsys, "--help")
-    assert code == 0 and "{convert,norm,eval,dim,explain,classify,list}" in out
+    assert code == 0 and "{convert,norm,eval,dim,explain,classify,depth,census,list}" in out
     assert "--format {plain,structured}" in out
 
 
@@ -498,3 +503,210 @@ def test_a_chain_of_a_thousand_rules(capsys, tmp_path):
     assert code == 0 and "iteration bound: 999" in out.splitlines()
     code, out, _ = run_within_a_second(capsys, "explain", first, "--registry", str(registry))
     assert code == 0 and out.splitlines()[-1] == f"fixpoint: ({2 ** 999}, {last})"
+
+
+def test_depth_on_si(capsys):
+    code, out, _ = run(capsys, "depth", "--registry", "si")
+    lines = out.splitlines()
+    assert code == 0 and lines[-1] == "pass bound for any conversion: 6"
+    assert any(line.startswith("T ") and "depth 6" in line for line in lines)
+
+
+def test_depth_on_a_chain_of_a_thousand_rules(capsys, tmp_path):
+    text, first, last = chain_registry_text(1000)
+    registry = tmp_path / "chain.reg"
+    registry.write_text(text, encoding="utf-8")
+    code, out, _ = run_within_a_second(capsys, "depth", "--registry", str(registry))
+    lines = out.splitlines()
+    assert code == 0 and lines[-1] == "pass bound for any conversion: 999"
+    assert lines[-2] == f"{first}  depth 999  uses: {lines[-3].split()[0]}"
+    assert lines[0] == f"{last[:-1]}{chr(ord(last[-1]) - 1)}  depth 1  uses: {last}"
+
+
+def test_depth_reports_a_bad_registry_as_classify_does(capsys, tmp_path):
+    prose = tmp_path / "prose.md"
+    prose.write_text("# unical\n\nExact calculus for units of measure.\n", encoding="utf-8")
+    not_utf8 = tmp_path / "f.reg"
+    not_utf8.write_bytes(b"\xff\xfe")
+    for path, message in (
+        (prose, "line 3: content before any section header"),
+        (not_utf8, f"registry {str(not_utf8)!r} is not UTF-8: invalid start byte at byte offset 0"),
+    ):
+        code, out, err = run(capsys, "depth", "--registry", str(path))
+        assert code == 2 and not out and err == f"error: {message}\n"
+        assert run(capsys, "classify", "--registry", str(path)) == (2, "", err)
+
+
+def test_depth_on_cyclic_rules_exits_three_as_explain_does(capsys, cyclic_path):
+    code, out, err = run(capsys, "depth", "--registry", cyclic_path)
+    assert code == 3 and not out and err == "error: rules are not well-defining; dependency cycle: a > b > a\n"
+    assert run(capsys, "explain", "a", "--registry", cyclic_path) == (3, "", err)
+
+
+def test_depth_structured_lists_direct_dependencies(capsys):
+    code, payload, _ = run_json(capsys, "depth", "--registry", "si")
+    assert code == 0 and payload["iteration_bound"] == 6
+    assert payload["uses"]["V"] == ["A", "W"] and payload["depth"]["V"] == 4
+    assert payload["uses"]["rad"] == []
+    assert "V" not in payload["uses"]["W"]
+
+
+def test_depth_ignores_cancelled_replacement_symbols(capsys, tmp_path):
+    registry = tmp_path / "cancelled.reg"
+    registry.write_text("[units]\nx 1\ny 1\n[rules]\nx 2 y*y^-1\n", encoding="utf-8")
+    code, payload, _ = run_json(capsys, "depth", "--registry", str(registry))
+    assert code == 0 and payload["uses"] == {"x": []} and payload["depth"] == {"x": 1}
+    code, out, _ = run(capsys, "depth", "--registry", str(registry))
+    assert out == "x  depth 1  uses: -\npass bound for any conversion: 1\n"
+
+
+HECTOWATT_CENSUS = """\
+target: hW = (100000, g*m^2*s^-3)
+slots: g^1, m^2, s^-3
+decimal prefix exponents available: 25 (incl. bare)
+matching spellings: 44
+within |exponent| <= 24: 39
+needing the extended prefix range:
+  rg*cm^2*ps^-3
+  dg*Qm^2*Es^-3
+  hg*qm^2*zs^-3
+  Rg*cm^2*Ms^-3
+  Qg*dam^2*Gs^-3
+"""
+
+
+def test_census_of_the_hectowatt(capsys):
+    assert run(capsys, "census", "hW") == (0, HECTOWATT_CENSUS, "")
+
+
+@pytest.mark.parametrize(
+    "unit, matching, within",
+    [("kN", 242, 166), ("J", 204, 139), ("Pa", 244, 168), ("W*A", 4166, 2411), ("Ω*cd*mol*K", 41815533, 14250775)],
+)
+def test_census_counts(capsys, unit, matching, within):
+    code, payload, _ = run_json(capsys, "census", unit)
+    assert code == 0 and (payload["matching"], payload["within_legacy"]) == (matching, within)
+    assert len(payload["extended"]) == 20
+    assert payload["extended_unlisted"] == matching - within - 20
+
+
+def test_census_lists_twenty_spellings_then_the_rest_as_a_count(capsys):
+    code, out, _ = run_within_a_second(capsys, "census", "W*A")
+    lines = out.splitlines()
+    assert code == 0 and lines[5:8] == ["needing the extended prefix range:", "  qA*qg*nm^2*rs^-3", "  qA*qg*m^2*zs^-3"]
+    assert len(lines) == 27 and lines[-1] == "… and 1735 more"
+
+
+def test_census_refuses_a_unit_past_its_table_limit(capsys):
+    code, out, err = run_within_a_second(capsys, "census", "m^1000003*s^61*g^3721*A^226981*K^7")
+    assert code == 2 and not out
+    assert err == (
+        "error: census of 'm^1000003*s^61*g^3721*A^226981*K^7' is over MAX_CENSUS_SUMS = 100000 partial sums\n"
+    )
+
+
+def test_census_reports_bad_input_exiting_two(capsys, tmp_path):
+    missing = tmp_path / "missing.reg"
+    prose = tmp_path / "prose.md"
+    prose.write_text("# unical\n\nExact calculus for units of measure.\n", encoding="utf-8")
+    for argv, message in (
+        (
+            ["hW", "--registry", str(missing)],
+            f"registry {str(missing)!r} is neither a readable file nor one of the bundled names (si, uk)",
+        ),
+        (["hW", "--registry", str(prose)], "line 3: content before any section header"),
+        (["k("], "unknown unit identifier 'k' (at position 0)"),
+    ):
+        assert run(capsys, "census", *argv) == (2, "", f"error: {message}\n")
+
+
+def test_census_reports_a_rule_cycle_as_convert_does(capsys, cyclic_path):
+    code, out, err = run(capsys, "census", "a", "--registry", cyclic_path)
+    assert code == 3 and not out
+    assert err == "error: rules are not well-defining; dependency cycle: a > b > a\n"
+    assert run(capsys, "convert", "a", "b", "--registry", cyclic_path) == (3, "", err)
+
+
+def test_census_reads_a_registry_file(capsys, litre_path):
+    code, out, _ = run(capsys, "census", "L", "--registry", "si", "--registry", litre_path)
+    lines = out.splitlines()
+    assert code == 0 and lines[0] == "target: L = (1/1000, m^3)" and "matching spellings: 1" in lines
+
+
+def test_depth_and_census_build_the_rules(capsys, tmp_path):
+    broken = tmp_path / "bad-rule.reg"
+    broken.write_text("[rules]\nm 1 bogus\n", encoding="utf-8")
+    for argv in (("depth",), ("census", "m")):
+        code, out, err = run(capsys, *argv, "--registry", "si", "--registry", str(broken))
+        assert code == 2 and not out and "line 2" in err, argv
+
+
+def test_a_registry_that_cannot_be_read_exits_two(capsys, tmp_path):
+    code, out, err = run(capsys, "list", "units", "--registry", str(tmp_path))
+    assert code == 2 and not out
+    assert err == f"error: registry {str(tmp_path)!r} cannot be read: Is a directory\n"
+
+
+# Each factor here is one of si's irreducible units, or over si+uk also
+# a uk unit that expands to one of them, at an exponent in -3..3.
+CENSUS_SYMBOLS = ["m", "g", "s", "A", "K", "mol", "cd", "km"]
+CENSUS_UK_SYMBOLS = ["lb", "pt"]
+
+
+def census_units(with_uk):
+    symbols = CENSUS_SYMBOLS + CENSUS_UK_SYMBOLS * with_uk
+    factors = st.tuples(st.sampled_from(symbols), st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    return st.tuples(st.just(with_uk), st.lists(factors, min_size=1, max_size=3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.booleans().flatmap(census_units))
+@example(unit=(True, [("lb", 1)]))  # a factor that is no power of ten
+@example(unit=(False, [("km", 1), ("m", -1)]))  # no slot, worth 10^3: nothing matches
+@example(unit=(False, [("m", 1), ("m", -1)]))  # no slot, worth 1: the bare spelling
+def test_census_agrees_with_a_brute_force_count(si_pair, siuk_pair, unit):
+    with_uk, factors = unit
+    system, rules = siuk_pair if with_uk else si_pair
+    text = "*".join(f"{symbol}^{power}" for symbol, power in factors)
+    target = unical.rwr_star(system, rules, unical.parse_unit(system, text))
+    slots = target.root.items()
+    by_exponent = {0: None}
+    for symbol, value in sorted(system.base_prefixes.items()):
+        for exponent in range(-30, 31):
+            if exponent and value == Fraction(10) ** exponent:
+                by_exponent[exponent] = symbol
+    # Each slot's prefixed factor evaluated alone; a spelling is worth their product.
+    evaluated = [
+        {
+            exponent: unical.evaluate(
+                system,
+                unical.em_pow(
+                    unical.prefix_unit(unical.em_empty() if prefix is None else unical.em_delta(prefix), symbol), power
+                ),
+            ).factor
+            for exponent, prefix in by_exponent.items()
+        }
+        for symbol, power in slots
+    ]
+    matches = []
+    for assignment in itertools.product(sorted(by_exponent), repeat=len(slots)):
+        factor = Fraction(1)
+        for slot, exponent in zip(evaluated, assignment):
+            factor *= slot[exponent]
+        if factor == target.factor:
+            matches.append(assignment)
+    beyond = [match for match in matches if any(abs(exponent) > 24 for exponent in match)]
+    listed = [
+        "*".join(
+            f"{by_exponent[exponent] or ''}{symbol}" + (f"^{power}" if power != 1 else "")
+            for (symbol, power), exponent in zip(slots, assignment)
+        )
+        for assignment in beyond[:20]
+    ]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["census", text, "--format", "structured", "--registry", "si", *["--registry", "uk"] * with_uk])
+    payload = json.loads(out.getvalue())
+    assert code == 0 and payload["exponents"] == len(by_exponent) == 25
+    assert payload["matching"] == len(matches) and payload["within_legacy"] == len(matches) - len(beyond)
+    assert payload["extended"] == listed and payload["extended_unlisted"] == len(beyond) - len(listed)
