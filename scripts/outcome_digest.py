@@ -17,8 +17,8 @@ malformed texts; texts reaching a normal form too large to compile;
 texts whose prefixes cancel, over si+uk with a second prefix worth `k`;
 and seeded random texts over si and over si+uk. The rule-set cases are the
 benchmark's `classify_cycles` registries (seeds 1-3); the bundled and
-boundary registries; and seeded random cyclic mappings from
-`tests/support.py`, consistent, inconsistent and changing dimension,
+boundary registries; a ring of 1000 rules; and seeded random cyclic
+mappings from `tests/support.py`, consistent, inconsistent and changing dimension,
 each classified as a mapping and as a DefiningConversion. The CLI cases
 are argument lists run through `unical.cli.main` in this process, each
 outcome its exit code, stdout and stderr: every command in both formats,
@@ -327,6 +327,7 @@ def main() -> None:
     ]
     registries = [(si, *(bundled_registry(t) if t == "uk" else t for t in extra)) for extra in REGISTRY_EXTRAS]
     registries += [(case["registry"],) for seed in (1, 2, 3) for block in cycle_blocks(seed) for case in block]
+    registries.append((runpy.run_path(str(SUPPORT))["ring_registry_text"](1000),))
     streams = [outcomes(system, rules, pairs) for (system, rules), pairs in cases]
     streams.append(classify_outcomes(registries, rule_mappings(random.Random(1), args.random)))
     streams.append(cli_outcomes(CLI_CASES))

@@ -367,10 +367,20 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.format == "structured":
         import json  # imported here, so that plain output does not pay for it in a cold start
 
-        payload = {"schema": SCHEMA, "command": args.command, **fields}
-        print(json.dumps(payload, sort_keys=True, ensure_ascii=False))
+        text = json.dumps({"schema": SCHEMA, "command": args.command, **fields}, sort_keys=True, ensure_ascii=False)
     elif lines:
-        print("\n".join(lines))
+        text = "\n".join(lines)
+    else:
+        return code
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed early. What stdout still holds goes to the null device, so the
+        # flush at exit raises nothing, and the exit code stays the command's own.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 from typing import Iterable
 
 __all__ = [
@@ -59,6 +60,12 @@ def ratio_check_bits(bits: int, what: str) -> None:
         raise RatioError(f"{what} is too large: over MAX_RATIO_BITS = {MAX_RATIO_BITS} bits")
 
 
+def _check_text_bits(bits: int, text: str) -> None:
+    """`ratio_check_bits` for ratio text, named by its first 40 characters only when it raises."""
+    if bits > MAX_RATIO_BITS:
+        ratio_check_bits(bits, f"ratio {text[:40]!r}")
+
+
 def _ratio_product(powers: Iterable[tuple[tuple[int, int], int]], what: str) -> tuple[int, int, int]:
     """The product of ratio powers ((numerator, denominator), exponent): the one size rule.
 
@@ -88,11 +95,6 @@ def _ratio_product(powers: Iterable[tuple[tuple[int, int], int]], what: str) -> 
     return numerator, denominator, bits
 
 
-def _checked(a: Fraction, what: str) -> Fraction:
-    ratio_check_bits(ratio_bits(a), what)
-    return a
-
-
 def ratio_make(num: int, den: int = 1) -> Fraction:
     """Build a reduced positive ratio from an integer numerator and denominator."""
     if isinstance(num, bool) or isinstance(den, bool):
@@ -116,15 +118,15 @@ def ratio_pow(a: Fraction, exponent: int) -> Fraction:
     return a ** exponent
 
 
-_INT_RE = re.compile(r"[0-9]+\Z")
 _POWER_RE = re.compile(r"([0-9]+)\^(-?)([0-9]+)\Z")
 _DECIMAL_RE = re.compile(r"([0-9]+)\.([0-9]+)\Z")
 
 
-def _parse_int(digits: str, what: str) -> int:
-    """A run of decimal digits as an int, refusing more than MAX_RATIO_BITS bits."""
+def _parse_int(digits: str, text: str) -> int:
+    """A run of decimal digits in ratio text as an int, refusing more than MAX_RATIO_BITS bits."""
     digits = digits.lstrip("0") or "0"
-    ratio_check_bits((len(digits) - 1) * _BITS_PER_DIGIT_X100 // 100, what)
+    # A run of d digits, leading zeros aside, has more than (d - 1) * log2(10) bits.
+    _check_text_bits((len(digits) - 1) * _BITS_PER_DIGIT_X100 // 100, text)
     return int(digits)
 
 
@@ -136,45 +138,50 @@ def ratio_parse(text: str) -> Fraction:
     negative), and a decimal "d.ddd" read exactly as digits times a power
     of ten. Anything else, and anything non-positive, raises RatioError,
     as does a value whose numerator or denominator would exceed
-    MAX_RATIO_BITS bits; that is checked before the arithmetic.
+    MAX_RATIO_BITS bits; that is checked before the arithmetic. The
+    common forms, "p/q" and "n", are read without regular expressions.
     """
-    what = f"ratio {text[:40]!r}"
-    return _checked(_parse_form(text.strip(), text, what), what)
-
-
-def _parse_form(s: str, text: str, what: str) -> Fraction:
-    if "/" in s:
-        head, _, tail = s.partition("/")
-        if not (_INT_RE.match(head) and _INT_RE.match(tail)):
+    s = text.strip()
+    head, slash, tail = s.partition("/")
+    if slash:
+        if not (head.isdigit() and tail.isdigit() and head.isascii() and tail.isascii()):
             raise RatioError(f"not a positive fraction: {text!r}")
-        num, den = _parse_int(head, what), _parse_int(tail, what)
-        if num < 1 or den < 1:
+        numerator, denominator = _parse_int(head, text), _parse_int(tail, text)
+        if not numerator or not denominator:
             raise RatioError(f"fraction components must be positive: {text!r}")
-        return Fraction(num, den)
+    elif head.isdigit() and head.isascii():
+        numerator, denominator = _parse_int(head, text), 1
+        if not numerator:
+            raise RatioError(f"ratio must be positive: {text!r}")
+    else:
+        numerator, denominator = _parse_form(s, text)
+    common = gcd(numerator, denominator)
+    numerator, denominator = numerator // common, denominator // common
+    _check_text_bits(max(numerator.bit_length(), denominator.bit_length()), text)
+    return Fraction(numerator, denominator)
+
+
+def _parse_form(s: str, text: str) -> tuple[int, int]:
+    """The rarer forms of stripped ratio text `s`, a power or a decimal, as an unreduced numerator and denominator."""
     power = _POWER_RE.match(s)
     if power is not None:
-        base, exponent = _parse_int(power.group(1), what), _parse_int(power.group(3), what)
+        base, exponent = _parse_int(power.group(1), text), _parse_int(power.group(3), text)
         if base < 2:
             raise RatioError(f"power base must be at least 2: {text!r}")
         # base^exponent has more than (bits(base) - 1) * exponent bits.
-        ratio_check_bits((base.bit_length() - 1) * exponent, what)
-        return Fraction(base) ** (-exponent if power.group(2) else exponent)
+        _check_text_bits((base.bit_length() - 1) * exponent, text)
+        return (1, base**exponent) if power.group(2) else (base**exponent, 1)
     decimal = _DECIMAL_RE.match(s)
-    if decimal is not None:
-        places = decimal.group(2).rstrip("0")
-        # With the last place nonzero, the reduced denominator keeps at
-        # least 2^places or 5^places, so it has at least `places` bits.
-        ratio_check_bits(len(places), what)
-        value = Fraction(_parse_int(decimal.group(1) + places, what), 10 ** len(places))
-        if value <= 0:
-            raise RatioError(f"ratio must be positive: {text!r}")
-        return value
-    if _INT_RE.match(s):
-        value = _parse_int(s, what)
-        if value < 1:
-            raise RatioError(f"ratio must be positive: {text!r}")
-        return Fraction(value)
-    raise RatioError(f"not a ratio: {text!r}")
+    if decimal is None:
+        raise RatioError(f"not a ratio: {text!r}")
+    places = decimal.group(2).rstrip("0")
+    # With the last place nonzero, the reduced denominator keeps at
+    # least 2^places or 5^places, so it has at least `places` bits.
+    _check_text_bits(len(places), text)
+    numerator = _parse_int(decimal.group(1) + places, text)
+    if not numerator:
+        raise RatioError(f"ratio must be positive: {text!r}")
+    return numerator, 10 ** len(places)
 
 
 def ratio_text(a: Fraction) -> str:
@@ -182,7 +189,7 @@ def ratio_text(a: Fraction) -> str:
 
     Raises RatioError for a ratio over MAX_RATIO_BITS bits.
     """
-    _checked(a, "ratio")
+    ratio_check_bits(ratio_bits(a), "ratio")
     if a.denominator == 1:
         return str(a.numerator)
     return f"{a.numerator}/{a.denominator}"

@@ -257,16 +257,15 @@ def _read_tokens(tokens: list[_Token], system: Optional[UnitSystem]) -> list[tup
 
 
 def _parse_expression(
-    expression: str, memo: Optional[Mapping] = None, system: Optional[UnitSystem] = None
+    text: str, memo: Optional[Mapping] = None, system: Optional[UnitSystem] = None
 ) -> ExponentMap:
-    """Parse expression text over the grammar above into a canonical map, in time linear in the text.
+    """Parse NFKC text over the grammar above into a canonical map, in time linear in the text.
 
     `_read_known` walks `memo`: a system's identifier memo, or for a
     dimension column the dimensions declared so far, each standing for
     itself. Text it declines is read by `_read_tokens`, resolving in
     `system`. A repeated generator's exponents are summed in one dict.
     """
-    text = _normalize(expression)
     pairs = None if memo is None else _read_known(memo, text)
     if pairs is None:
         pairs = _read_tokens(_tokenize(text), system)
@@ -403,7 +402,7 @@ def parse_unit(system: UnitSystem, text: str) -> Unit:
     NFKC-normalized first, so e.g. the micro sign and the ohm sign match
     their Greek-letter registry spellings.
     """
-    return _parse_expression(text, system._resolved, system)
+    return _parse_expression(_normalize(text), system._resolved, system)
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +553,7 @@ def parse_document(text: str) -> RegistryDocument:
                 raise RegistryError(f"duplicate unit {symbol!r}", number)
             seen["units"].add(symbol)
             expression = line[len(fields[0]):].strip()
-            try:
+            try:  # cut from text normalized above
                 dimension = _parse_expression(expression, declared)
             except UnitSyntaxError as error:
                 raise RegistryError(f"bad dimension expression: {error}", number) from None

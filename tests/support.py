@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from functools import reduce
+from math import gcd
 from typing import Any, Callable
 
 from unical import (
@@ -21,6 +23,8 @@ from unical import (
     rwr_eval,
     val,
 )
+from unical.convert import MAX_RELATION_WORK, RuleError
+from unical.numeric import MAX_RATIO_BITS, RatioError
 from unical.registry import MAX_UNIT_NESTING, UnitSyntaxError, _exponent, _normalize
 
 TEST_PREFIXES = {
@@ -195,6 +199,22 @@ def chain_registry_text(length):
     lines += ["", "[rules]"]
     lines += [f"{symbol} 2 {following}" for symbol, following in zip(symbols, symbols[1:])]
     return "\n".join(lines) + "\n", symbols[0], symbols[-1]
+
+
+def ring_registry_text(count):
+    """A registry of `count` units of one dimension in one ring of rules.
+
+    Each unit's rule rewrites it into the next, the last into the first,
+    at ratios 1/2 and 2 in turn. With `count` even one trip round the ring
+    multiplies by one; with `count` odd, by 1/2.
+    """
+    symbols = unit_symbols(count)
+    lines = ["[dimensions]", "D", "", "[units]"]
+    lines += [f"{symbol} D" for symbol in symbols]
+    lines += ["", "[rules]"]
+    for index, symbol in enumerate(symbols):
+        lines.append(f"{symbol} {'2' if index % 2 else '1/2'} {symbols[(index + 1) % count]}")
+    return "\n".join(lines) + "\n"
 
 
 def dense_cycle_registry_text(count, seed=0):
@@ -394,3 +414,121 @@ class _ExpressionParser:
 def reference_parse(text, resolver):
     """Parse expression text as the recursive-descent parser does."""
     return _ExpressionParser(reference_tokenize(_normalize(text)), resolver).parse()
+
+
+# `convert._relation_basis` and `numeric.ratio_parse` as they were before
+# unit pivots were updated in place and the common ratio forms were read
+# in one frame, kept as the references they are tested against.
+
+
+def _combine(x: int, left, y: int, right) -> dict:
+    """The integer combination x * left + y * right of two sparse vectors."""
+    out = {key: x * value for key, value in left.items()}
+    for key, value in right.items():
+        total = out.get(key, 0) + y * value
+        if total:
+            out[key] = total
+        else:
+            out.pop(key, None)
+    return out
+
+
+def reference_relation_basis(vectors: list[dict[str, int]]) -> list[dict[int, int]]:
+    """A basis over Q of the integer relations among sparse integer vectors.
+
+    Each relation maps vector indices to primitive integer coefficients
+    whose combination of the vectors is zero. Fraction-free Gaussian
+    elimination: every row carries the combination of vectors it equals
+    and is divided by the content of both, so it stays small and
+    integral. A row that reduces to zero yields its combination. That
+    combination holds its own vector with a nonzero coefficient and
+    otherwise only earlier ones, so the relations are independent, and
+    there is one per vector that adds no rank. Each step counts the
+    entries it updates; past MAX_RELATION_WORK it raises RuleError.
+    """
+    pivots: dict[str, tuple[dict[str, int], dict[int, int]]] = {}
+    basis: list[dict[int, int]] = []
+    work = 0
+    for index, vector in enumerate(vectors):
+        row, combination = vector, {index: 1}
+        while row:
+            symbol = min(row)
+            if symbol not in pivots:
+                pivots[symbol] = (row, combination)
+                break
+            pivot_row, pivot_combination = pivots[symbol]
+            work += len(row) + len(pivot_row) + len(combination) + len(pivot_combination)
+            if work > MAX_RELATION_WORK:
+                raise RuleError(
+                    f"rule cycles need too much work to classify: over MAX_RELATION_WORK = {MAX_RELATION_WORK} entry updates"
+                )
+            a, b = row[symbol], pivot_row[symbol]
+            row = _combine(b, row, -a, pivot_row)
+            combination = _combine(b, combination, -a, pivot_combination)
+            content = gcd(*row.values(), *combination.values())
+            row = {key: value // content for key, value in row.items()}
+            combination = {key: value // content for key, value in combination.items()}
+        if not row:
+            basis.append(combination)
+    return basis
+
+
+_BITS_PER_DIGIT_X100 = 332
+_INT_RE = re.compile(r"[0-9]+\Z")
+_POWER_RE = re.compile(r"([0-9]+)\^(-?)([0-9]+)\Z")
+_DECIMAL_RE = re.compile(r"([0-9]+)\.([0-9]+)\Z")
+
+
+def _ratio_check_bits(bits: int, what: str) -> None:
+    if bits > MAX_RATIO_BITS:
+        raise RatioError(f"{what} is too large: over MAX_RATIO_BITS = {MAX_RATIO_BITS} bits")
+
+
+def _parse_int(digits: str, what: str) -> int:
+    """A run of decimal digits as an int, refusing more than MAX_RATIO_BITS bits."""
+    digits = digits.lstrip("0") or "0"
+    _ratio_check_bits((len(digits) - 1) * _BITS_PER_DIGIT_X100 // 100, what)
+    return int(digits)
+
+
+def reference_ratio_parse(text: str) -> Fraction:
+    """Parse ratio text into an exact positive rational, as `numeric.ratio_parse` did."""
+    what = f"ratio {text[:40]!r}"
+    value = _parse_form(text.strip(), text, what)
+    _ratio_check_bits(max(value.numerator.bit_length(), value.denominator.bit_length()), what)
+    return value
+
+
+def _parse_form(s: str, text: str, what: str) -> Fraction:
+    if "/" in s:
+        head, _, tail = s.partition("/")
+        if not (_INT_RE.match(head) and _INT_RE.match(tail)):
+            raise RatioError(f"not a positive fraction: {text!r}")
+        num, den = _parse_int(head, what), _parse_int(tail, what)
+        if num < 1 or den < 1:
+            raise RatioError(f"fraction components must be positive: {text!r}")
+        return Fraction(num, den)
+    power = _POWER_RE.match(s)
+    if power is not None:
+        base, exponent = _parse_int(power.group(1), what), _parse_int(power.group(3), what)
+        if base < 2:
+            raise RatioError(f"power base must be at least 2: {text!r}")
+        # base^exponent has more than (bits(base) - 1) * exponent bits.
+        _ratio_check_bits((base.bit_length() - 1) * exponent, what)
+        return Fraction(base) ** (-exponent if power.group(2) else exponent)
+    decimal = _DECIMAL_RE.match(s)
+    if decimal is not None:
+        places = decimal.group(2).rstrip("0")
+        # With the last place nonzero, the reduced denominator keeps at
+        # least 2^places or 5^places, so it has at least `places` bits.
+        _ratio_check_bits(len(places), what)
+        value = Fraction(_parse_int(decimal.group(1) + places, what), 10 ** len(places))
+        if value <= 0:
+            raise RatioError(f"ratio must be positive: {text!r}")
+        return value
+    if _INT_RE.match(s):
+        value = _parse_int(s, what)
+        if value < 1:
+            raise RatioError(f"ratio must be positive: {text!r}")
+        return Fraction(value)
+    raise RatioError(f"not a ratio: {text!r}")

@@ -2,6 +2,7 @@ import contextlib
 import io
 import itertools
 import json
+import os
 import subprocess
 import sys
 import time
@@ -213,6 +214,27 @@ def test_classify_refuses_a_dense_cycle_past_the_work_limit(capsys, tmp_path):
     registry.write_text(dense_cycle_registry_text(800), encoding="utf-8")
     code, out, err = run_within_a_second(capsys, "classify", "--registry", str(registry))
     assert code == 2 and not out and "MAX_RELATION_WORK" in err
+
+
+@pytest.mark.parametrize(
+    "argv, code", [(["census", "W*A"], 0), (["depth", "--format", "structured"], 0), (["convert", "m", "s"], 1)]
+)
+def test_a_reader_that_closes_early_gets_no_traceback(argv, code):
+    source_dir = str(Path(unical.__file__).resolve().parents[1])
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the command writes
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "unical.cli", *argv],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={"PYTHONPATH": source_dir},
+            timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert result.returncode == code and result.stderr == ""
 
 
 def test_ratios_past_the_limit_exit_two(capsys):

@@ -8,7 +8,7 @@ from math import gcd
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unical import (
@@ -60,7 +60,10 @@ from support import (
     random_cyclic_rules,
     random_cyclic_system,
     random_unit,
+    reference_relation_basis,
+    ring_registry_text,
     unit_of,
+    unit_symbols,
 )
 
 SI, SI_RULES = load_registry(bundled_registry("si"))
@@ -777,13 +780,106 @@ def test_classify_refuses_a_dense_cycle_past_the_work_limit():
 
 
 def test_the_relation_solver_refuses_only_past_its_work_limit(monkeypatch):
-    # The second rule's row and combination, 1 + 2 entries against the first's 2 + 1, take 6 updates.
+    # The second rule's row meets the first's at coefficient 1: the row it scans, 2 entries, then
+    # the pivot's row and combination, 2 + 1 entries.
     system, rules = cyclic_pair()
-    monkeypatch.setattr(CONVERT_MODULE, "MAX_RELATION_WORK", 6)
-    assert classify(system, rules).consistency == "witness_found"
     monkeypatch.setattr(CONVERT_MODULE, "MAX_RELATION_WORK", 5)
-    with pytest.raises(RuleError, match="over MAX_RELATION_WORK = 5 entry updates"):
+    assert classify(system, rules).consistency == "witness_found"
+    monkeypatch.setattr(CONVERT_MODULE, "MAX_RELATION_WORK", 4)
+    with pytest.raises(RuleError, match="over MAX_RELATION_WORK = 4 entry updates"):
         classify(system, rules)
+
+
+def test_the_work_limit_counts_the_rows_scanned_for_a_unit_pivot():
+    # y's row holds every q unit and meets each one's pivot at coefficient -1, so every unit
+    # step scans about 15 000 entries while updating only 3.
+    symbols = unit_symbols(15_000)
+    system = dimensionless_system([*symbols, "c", "y", "zz"])
+    rules = {symbol: (Fraction(1), bare("zz")) for symbol in symbols}
+    rules["y"] = (Fraction(1), ExponentMap({PreUnit(em_empty(), symbol): 1 for symbol in symbols}))
+    rules["c"] = (Fraction(1), bare("c"))
+    conversion = defining_conversion(system, rules)
+    started = time.perf_counter()
+    with pytest.raises(RuleError, match="over MAX_RELATION_WORK = 500000 entry updates"):
+        classify(system, conversion)
+    assert time.perf_counter() - started < 1
+
+
+@pytest.mark.parametrize("count, witness", [(1000, None), (3000, None), (1001, Fraction(2))])
+def test_classify_answers_on_a_ring_of_rules(count, witness):
+    # Each row meets its pivot at coefficient 1 or -1, so a ring takes about 5 updates per rule.
+    system, rules = load_registry(ring_registry_text(count))
+    started = time.perf_counter()
+    report = classify(system, rules)
+    assert time.perf_counter() - started < 1
+    assert report.cycle_witness is not None and len(report.cycle_witness) == count
+    assert report.consistency == ("guaranteed" if witness is None else "witness_found")
+    assert report.witness == (None if witness is None else ConvTriple(em_empty(), witness, em_empty()))
+
+
+def relation_vectors(system, conversion):
+    """Each rule's vector e_base - root(replacement), from its compiled form."""
+    vectors = []
+    for base, (_, pairs, _) in CONVERT_MODULE._compile(system, conversion).forms.items():
+        vector = {symbol: -z for symbol, z in pairs}
+        vector[base] = vector.get(base, 0) + 1
+        vectors.append({symbol: z for symbol, z in vector.items() if z})
+    return vectors
+
+
+def rank_over_q(rows):
+    """The rank over Q of sparse integer rows, by Gaussian elimination in Fractions."""
+    pivots = {}
+    for row in rows:
+        row = {key: Fraction(value) for key, value in row.items()}
+        while row:
+            key = min(row)
+            if key not in pivots:
+                pivots[key] = row
+                break
+            pivot, scale = pivots[key], row[key] / pivots[key][key]
+            row = {k: v for k in row.keys() | pivot.keys() if (v := row.get(k, 0) - scale * pivot.get(k, 0))}
+    return len(pivots)
+
+
+def assert_the_relation_solver_matches_the_reference(system, conversion):
+    vectors = relation_vectors(system, conversion)
+    # Both solvers may reduce the vectors they are given in place.
+    basis = CONVERT_MODULE._relation_basis([dict(vector) for vector in vectors])
+    reference = reference_relation_basis([dict(vector) for vector in vectors])
+    for relation in basis:
+        total = {}
+        for index, c in relation.items():
+            for symbol, z in vectors[index].items():
+                total[symbol] = total.get(symbol, 0) + c * z
+        assert not any(total.values())
+    # The same rank, and each relation in the reference's span: the same space of relations.
+    assert rank_over_q(basis) == rank_over_q(reference) == len(reference)
+    assert rank_over_q(reference + basis) == len(reference)
+    with mock.patch.object(CONVERT_MODULE, "_relation_basis", reference_relation_basis):
+        expected = classification_outcome(system, conversion)
+    assert classification_outcome(system, conversion) == expected
+
+
+def classification_outcome(system, conversion):
+    """The report, or the refusal's type and message: a witness may be too large to compute."""
+    try:
+        return classify(system, conversion)
+    except (RatioError, RuleError) as error:
+        return type(error), str(error)
+
+
+@given(st.randoms(use_true_random=False), st.sampled_from(RULE_SET_KINDS[1:]))
+def test_the_relation_solver_matches_the_reference_on_random_cycles(rng, kind):
+    system, rules, _ = random_cyclic_rules(rng, kind == "consistent", 0.5, kind == "changing dimension")
+    assert_the_relation_solver_matches_the_reference(system, DefiningConversion(rules))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(4, 40), st.integers(0, 2**16))
+@example(4, 18)  # a relation left with content 2 by unit pivots after a scaling one
+def test_the_relation_solver_matches_the_reference_on_dense_cycles(count, seed):
+    assert_the_relation_solver_matches_the_reference(*load_registry(dense_cycle_registry_text(count, seed)))
 
 
 def test_an_oversized_normal_form_refuses_only_the_conversions_that_reach_it(si_pair):

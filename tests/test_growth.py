@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from unical.cli import main
-from support import chain_registry_text, unit_symbols
+from support import chain_registry_text, ring_registry_text, unit_symbols
 
 ROOT = Path(__file__).resolve().parents[1]
 count_steps = runpy.run_path(str(ROOT / "scripts" / "step_count.py"))["count_steps"]
@@ -39,6 +39,11 @@ def census_family(n):
     return text, ["census", "*".join(names), "--registry", "si"]
 
 
+def ring_family(n):
+    """`classify` over a ring of n rules of one dimension: one cycle, solved with a unit pivot per rule."""
+    return ring_registry_text(n), ["classify"]
+
+
 def bytecodes(family, n, path):
     """Bytecodes executed by one CLI run of the family at size n, which must exit 0."""
     text, argv = family(n)
@@ -51,7 +56,9 @@ def bytecodes(family, n, path):
 
 
 @pytest.mark.parametrize(
-    "family, n, bound", [(depth_family, 200, LINEAR), (census_family, 4, QUADRATIC)], ids=["depth", "census"]
+    "family, n, bound",
+    [(depth_family, 200, LINEAR), (census_family, 4, QUADRATIC), (ring_family, 200, LINEAR)],
+    ids=["depth", "census", "ring"],
 )
 def test_work_grows_within_its_class(tmp_path, family, n, bound):
     small, middle, large = (bytecodes(family, size, tmp_path / "family.reg") for size in (n, 2 * n, 4 * n))

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from unical import RatioError, ratio_make, ratio_parse, ratio_text, ratio_to_decimal
 from unical.numeric import MAX_DECIMAL_DIGITS, MAX_RATIO_BITS, ratio_inv, ratio_mul, ratio_pow
+from support import reference_ratio_parse
 
 positive_ratios = st.fractions(
     min_value=Fraction(1, 10**6), max_value=Fraction(10**6)
@@ -63,6 +65,53 @@ def test_parse_rejects_malformed(text):
 def test_parse_refuses_ratios_past_the_limit(text):
     with pytest.raises(RatioError, match="MAX_RATIO_BITS"):
         ratio_parse(text)
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except RatioError as error:
+        return str(error)
+
+
+def digit_run(rng, count):
+    """`count` random decimal digits, the first one nonzero."""
+    return str(rng.randint(1, 9)) + "".join(rng.choice("0123456789") for _ in range(count - 1))
+
+
+# Around the bound: a run of 4218 digits passes the digit check and one of
+# 4219 is refused unread; 2^14000 has 4215 digits.
+RATIO_FORMS = {
+    "integer": lambda rng, count: digit_run(rng, count),
+    "fraction": lambda rng, count: f"{digit_run(rng, count)}/{digit_run(rng, rng.randint(1, count))}",
+    "inverse": lambda rng, count: f"{digit_run(rng, rng.randint(1, 9))}/{digit_run(rng, count)}",
+    "padded": lambda rng, count: f" 000{digit_run(rng, count)}/0{digit_run(rng, 3)}\n",
+    # A common factor that the digit check does not see and the reduced value drops.
+    "reducible": lambda rng, count: f"{int(digit_run(rng, count - 4210)) * 7**4968}/{7**4968}",
+    "power": lambda rng, count: rng.choice([f"10^-{count}", f"2^{count + 9780}"]),
+    "decimal": lambda rng, count: f"{digit_run(rng, count // 2)}.{digit_run(rng, count - count // 2)}",
+}
+
+
+@given(st.integers(0, 2**32), st.sampled_from(sorted(RATIO_FORMS)), st.integers(4210, 4222))
+def test_ratio_parse_matches_the_reference_around_the_bound(seed, form, count):
+    text = RATIO_FORMS[form](random.Random(seed), count)
+    assert parse_outcome(ratio_parse, text) == parse_outcome(reference_ratio_parse, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # The numerator alone passes the bound, but not the digit check; the reduced ratio fits.
+        f"{2**14001}/{2**10}",
+        f"{2**14001}/3",
+        # The numerator is refused unread, although the reduced ratio would fit.
+        f"{10**4218}/{10**10}",
+        "0" * 5000 + "7", "0/0", "1/" + "0" * 4300, "٣/2", "²", "12\n", "1/2/3", "10^3", "0.5",
+    ],
+)
+def test_ratio_parse_matches_the_reference_on_examples(text):
+    assert parse_outcome(ratio_parse, text) == parse_outcome(reference_ratio_parse, text)
 
 
 def test_ratio_limit_keeps_values_at_the_limit():

@@ -2,6 +2,7 @@ import codecs
 import random
 import re
 import time
+import unicodedata
 from fractions import Fraction
 
 import pytest
@@ -651,8 +652,8 @@ def assert_the_parsers_agree(text):
     assert _parse_outcome(lambda: parse_unit(SIUK, text)) == _parse_outcome(
         lambda: reference_parse(text, lambda ident, position: em_delta(_resolve_identifier(SIUK, ident, position)))
     )
-    # Without a system, an identifier stands for itself, as in dimension expressions.
-    assert _parse_outcome(lambda: _parse_expression(text)) == _parse_outcome(
+    # Without a system, an identifier stands for itself, as in dimension expressions, which are read from NFKC text.
+    assert _parse_outcome(lambda: _parse_expression(registry._normalize(text))) == _parse_outcome(
         lambda: reference_parse(text, lambda ident, position: em_delta(ident))
     )
 
@@ -954,6 +955,31 @@ def test_dimension_columns_read_as_the_token_loop_reads_them(text):
         assert _parse_expression(column, declared) == _parse_expression(column)
         # The walk takes each column made of declared dimensions.
         assert (known is None) == (column == "1" or not declared)
+
+
+# Characters that NFKC changes, alone or next to others, and characters it keeps.
+NFKC_CHARACTERS = st.one_of(
+    st.sampled_from("LMﬀＬＭµ²ℓΩ\u2126\u00b4\u0301\u0308e \t\u3000*/()^-19#_"),
+    st.characters(blacklist_categories=("Cs",)),
+)
+
+
+@given(st.lists(st.text(NFKC_CHARACTERS, min_size=1, max_size=10), min_size=1, max_size=4))
+@example(["Ｌ²*ﬀ", "L \u00b4", "\u0301L/(Ｍ)", "e\u0301*M^\u00b2"])
+@example(["Ｌ*ﬀ^2", "(Ｍ)/L ", "\u3000L"])
+def test_dimension_columns_are_cut_from_normalized_text(columns):
+    text = "[dimensions]\nL M ff\n\n[units]\n" + "".join(f"u{chr(97 + i)} {column}\n" for i, column in enumerate(columns))
+    expected = []
+    for column, declared in dimension_columns(text):
+        assert unicodedata.is_normalized("NFKC", column)
+        # The column reads as it did when `_parse_expression` normalized it once more.
+        expected.append(_parse_outcome(lambda: _parse_expression(registry._normalize(column), declared)))
+        assert _parse_outcome(lambda: _parse_expression(column, declared)) == expected[-1]
+    try:
+        document = parse_document(text)
+    except RegistryError:
+        return
+    assert [unit.dimension for unit in document.units] == expected
 
 
 def test_dimensions_declared_after_their_use_or_in_another_document_load():
