@@ -15,7 +15,10 @@ The unit cases are the benchmark's `convert_mix` query pools (from
 `bench/gen.py`, seeds 1-3) over si+uk; texts at the documented bounds;
 malformed texts; texts reaching a normal form too large to compile;
 texts whose prefixes cancel, over si+uk with a second prefix worth `k`;
-and seeded random texts over si and over si+uk. The rule-set cases are the
+and seeded random texts over si and over si+uk. The boundary, oversized
+and prefix-cancelling pairs are also each converted under fresh rules,
+so that `convert` walks them with an empty factor memo rather than one
+warmed by `rwr_star` on the same texts. The rule-set cases are the
 benchmark's `classify_cycles` registries (seeds 1-3); the bundled and
 boundary registries; a ring of 1000 rules; and seeded random cyclic
 mappings from `tests/support.py`, consistent, inconsistent and changing dimension,
@@ -253,6 +256,16 @@ def outcomes(system, rules, pairs):
         )
 
 
+def cold_outcomes(system, rules, pairs):
+    """The outcome of each pair through convert, each under a fresh copy of the rules and so an empty memo."""
+    for source, target in pairs:
+        yield f"convert cold {source!r} {target!r}: " + outcome(
+            lambda: convert(
+                system, DefiningConversion(dict(rules.rules)), parse_unit(system, source), parse_unit(system, target)
+            )
+        )
+
+
 def classify_outcomes(registries, mappings):
     """The outcomes of loading and classifying each registry text, then of classifying each mapping two ways."""
     for index, texts in enumerate(registries):
@@ -319,16 +332,19 @@ def main() -> None:
         (query["source"], query["target"]) for seed in (1, 2, 3) for query in convert_pool(seed, args.pool_size)
     ]
     rng = random.Random(0)
+    oversized, twin = load_registry(si, OVERSIZED), load_registry(si, bundled_registry("uk"), TWIN_PREFIX)
     cases = [
         (siuk, pools + BOUNDARY_TEXTS + random_texts(rng, args.random)),
         (load_registry(si), random_texts(rng, args.random)),
-        (load_registry(si, OVERSIZED), OVERSIZED_TEXTS + BOUNDARY_TEXTS),
-        (load_registry(si, bundled_registry("uk"), TWIN_PREFIX), TWIN_PREFIX_TEXTS + BOUNDARY_TEXTS),
+        (oversized, OVERSIZED_TEXTS + BOUNDARY_TEXTS),
+        (twin, TWIN_PREFIX_TEXTS + BOUNDARY_TEXTS),
     ]
     registries = [(si, *(bundled_registry(t) if t == "uk" else t for t in extra)) for extra in REGISTRY_EXTRAS]
     registries += [(case["registry"],) for seed in (1, 2, 3) for block in cycle_blocks(seed) for case in block]
     registries.append((runpy.run_path(str(SUPPORT))["ring_registry_text"](1000),))
     streams = [outcomes(system, rules, pairs) for (system, rules), pairs in cases]
+    cold = [(siuk, BOUNDARY_TEXTS), (oversized, OVERSIZED_TEXTS), (twin, TWIN_PREFIX_TEXTS)]
+    streams += [cold_outcomes(system, rules, pairs) for (system, rules), pairs in cold]
     streams.append(classify_outcomes(registries, rule_mappings(random.Random(1), args.random)))
     streams.append(cli_outcomes(CLI_CASES))
     digest = hashlib.sha256()

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 from types import MappingProxyType
 from functools import total_ordering
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .abelian import ExponentMap, Immutable, em_delta, em_empty, em_inv, em_mul
 from .model import (
@@ -347,37 +347,35 @@ def rwr_eval(system: UnitSystem, conversion: DefiningConversion, unit: Evaluated
 
 
 # An expanded factor: numerator, denominator, the bits `_ratio_product`
-# checked for it, and root pairs. `_expand` returns one unreduced; normal-form
+# checked for it, and root pairs. `_substitute` returns one unreduced; normal-form
 # table and memo entries are in lowest terms, with the bits of their own walk.
 _Factor = tuple[int, int, int, Sequence[tuple[str, int]]]
 
 
 def _memo_product(
     memo: Mapping[PreUnit, _Factor], sides: Sequence[tuple[Unit, int]]
-) -> Optional[tuple[int, int, int, dict[str, int]]]:
+) -> Optional[tuple[int, int, dict[str, int]]]:
     """Multiply out the memo's entries for units, each raised to its sign, in one loop.
 
     Each unit's sum of |exponent| * bits over its factors is bounded by
     MAX_RATIO_BITS on its own, checked before each power. That sum bounds
-    the check `_expand`'s walk over the unit makes: each integer's exponent
-    on either side of the walk is at most the sum of |exponent| times its
+    the check the walk over the unit makes: each integer's exponent on
+    either side of the walk is at most the sum of |exponent| times its
     exponent on the matching side of each factor's own walk. Returns the
-    numerator and denominator, unreduced, the larger of the units' sums and
-    the summed root exponents; None when a factor is not in the memo or a
-    unit passes the bound.
+    numerator and denominator, unreduced, and the summed root exponents;
+    None when a factor is not in the memo or a unit passes the bound.
     """
     numerator = denominator = 1
-    bits = 0
     expanded: dict[str, int] = {}
     for unit, sign in sides:
-        side_bits = 0
+        bits = 0
         for preunit, z in unit.items():
             factor = memo.get(preunit)
             if factor is None:
                 return None
             n, d, factor_bits, pairs = factor
-            side_bits += abs(z) * factor_bits
-            if side_bits > MAX_RATIO_BITS:
+            bits += abs(z) * factor_bits
+            if bits > MAX_RATIO_BITS:
                 return None
             z *= sign
             if z > 0:
@@ -386,62 +384,56 @@ def _memo_product(
                 numerator, denominator = numerator * d**-z, denominator * n**-z
             for symbol, e in pairs:
                 expanded[symbol] = expanded.get(symbol, 0) + e * z
-        bits = max(bits, side_bits)
-    return numerator, denominator, bits, expanded
+    return numerator, denominator, expanded
 
 
-def _expand(
-    system: UnitSystem,
-    table: Mapping[str, _Factor],
-    refused: Mapping[str, str],
-    memo: Optional[dict[PreUnit, _Factor]],
-    unit: Unit,
-) -> _Factor:
-    """Evaluate a unit and substitute the table's normal forms, in one walk.
-
-    Returns the factor's numerator and denominator, unreduced, the bits
-    checked against MAX_RATIO_BITS, and the root's canonical pairs.
-    Raises `_check_unit`'s errors, then as `_substitute` does.
+def _expanded(
+    system: UnitSystem, conversion: DefiningConversion, sides: Sequence[tuple[Unit, int]]
+) -> tuple[int, int, dict[str, int]]:
+    """Fully expand units, each raised to its sign, 1 or -1: the numerator, denominator and root exponents, unreduced.
 
     Full expansion is a homomorphism, so each factor can be expanded on
-    its own. When every factor is in `memo` and their sum of |exponent| *
-    bits stays within MAX_RATIO_BITS, the memo's entries are multiplied
-    out by `_memo_product`. Otherwise the unit is walked factor by
-    factor, which decides every refusal and memoises each checked factor
-    whose base is not refused: the walk's own result for that factor
-    alone, in lowest terms, with its base's normal-form pairs, shared with
-    the table. A factor the walk refuses alone is not memoised.
+    its own. When `_memo_product` can multiply out the memo's entries, it
+    does. Otherwise each unit is walked in turn under its own bound,
+    which decides every refusal: `_read_unit`'s errors, then
+    `_substitute`'s. Once a unit is read, each of its factors is memoised
+    unless it is there already, is outside the Unit type, has a refused
+    base or is refused alone: the walk's own result for that factor alone,
+    in lowest terms, with its base's normal-form pairs, shared with the table.
     """
-    if memo and (product := _memo_product(memo, ((unit, 1),))) is not None:
-        numerator, denominator, bits, expanded = product
-        return numerator, denominator, bits, sorted([(symbol, e) for symbol, e in expanded.items() if e])
-    visit = None
-    if memo is not None:
-
-        def visit(preunit: PreUnit) -> None:
-            if preunit.base in refused or preunit in memo:
-                return
+    table, refused, memo = _normal_forms(system, conversion)
+    product = _memo_product(memo, sides)
+    if product is not None:
+        return product
+    numerator = denominator = 1
+    expanded: dict[str, int] = {}
+    for unit, sign in sides:
+        read = _read_unit(system, unit)
+        for preunit in unit:
+            outside = not isinstance(preunit, PreUnit) or type(preunit.prefix) is not ExponentMap
+            if outside or preunit.base in refused or preunit in memo:
+                continue
             try:
-                n, d, factor_bits, _ = _expand(system, table, refused, None, em_delta(preunit))
+                n, d, bits, _ = _substitute(table, refused, *_read_unit(system, em_delta(preunit)))
             except RatioError:
-                return
+                continue
             common = gcd(n, d)
             if len(memo) >= MAX_MEMO_IDENTIFIERS:
                 memo.clear()
             entry = table.get(preunit.base)  # a symbol without one stands for itself
-            memo[preunit] = (n // common, d // common, factor_bits, ((preunit.base, 1),) if entry is None else entry[3])
+            memo[preunit] = (n // common, d // common, bits, ((preunit.base, 1),) if entry is None else entry[3])
+        n, d, _, pairs = _substitute(table, refused, *read)
+        numerator, denominator = (numerator * n, denominator * d) if sign > 0 else (numerator * d, denominator * n)
+        for symbol, e in pairs:
+            expanded[symbol] = expanded.get(symbol, 0) + e * sign
+    return numerator, denominator, expanded
 
-    return _substitute(table, refused, *_read_unit(system, unit, visit))
 
-
-def _read_unit(
-    system: UnitSystem, unit: Unit, visit: Optional[Callable[[PreUnit], None]] = None
-) -> tuple[list[tuple[tuple[int, int], int]], dict[str, int]]:
+def _read_unit(system: UnitSystem, unit: Unit) -> tuple[list[tuple[tuple[int, int], int]], dict[str, int]]:
     """A unit's prefix powers ((numerator, denominator), exponent) and its root's base exponents, in one loop.
 
     Raises UnknownSymbolError for an unknown base unit or prefix, and for
-    a unit outside the Unit type whatever `evaluate` raises. `visit`, if
-    given, is called with each factor once it is checked.
+    a unit outside the Unit type whatever `evaluate` raises.
     """
     bases: dict[str, int] = {}
     powers: list[tuple[tuple[int, int], int]] = []
@@ -458,8 +450,6 @@ def _read_unit(
                 raise UnknownSymbolError(f"unknown prefix {symbol!r}")
             powers.append(((value.numerator, value.denominator), e * z))
         bases[preunit.base] = bases.get(preunit.base, 0) + z
-        if visit is not None:
-            visit(preunit)
     return powers, bases
 
 
@@ -509,7 +499,7 @@ def _normal_forms(
     it raises.
     Raises any other error a rule's evaluation raised, and
     NotWellDefiningError on cyclic rules. Returns the table, the refused
-    symbols and the factor memo, empty until `_expand` fills it.
+    symbols and the factor memo, empty until `_expanded` fills it.
     """
     compiled = _compile(system, conversion)
     if compiled.table is not None:
@@ -550,8 +540,9 @@ def rwr_star(system: UnitSystem, conversion: DefiningConversion, unit: Unit) -> 
     and RatioError naming the symbol when the unit reaches a ruled
     symbol whose normal form passes MAX_RATIO_BITS.
     """
-    numerator, denominator, _, pairs = _expand(system, *_normal_forms(system, conversion), unit)
-    return EvaluatedUnit(Fraction(numerator, denominator), ExponentMap._canonical(tuple(pairs)))
+    numerator, denominator, expanded = _expanded(system, conversion, ((unit, 1),))
+    pairs = tuple(sorted([(symbol, e) for symbol, e in expanded.items() if e]))
+    return EvaluatedUnit(Fraction(numerator, denominator), ExponentMap._canonical(pairs))
 
 
 def convert(
@@ -571,23 +562,14 @@ def convert(
     numerator has 27 905 bits.
 
     Full expansion is a homomorphism, so the factor is the expansion of
-    source * target^-1. A factor met before, such as `km`, is expanded
-    alone once per rule set, by the same walk, and then read from a memo;
-    when every factor of both units is there, and each unit is within its
-    bound, both are multiplied out in one walk, the target's exponents
-    negated. Otherwise each unit is expanded as by `rwr_star`. The answers
-    and the refusals are the same either way.
+    source * target^-1, which `_expanded` multiplies out: from a memo of
+    the factors met before, such as `km`, each expanded alone by the same
+    walk, when every factor of both units is there and each unit is within
+    its bound; otherwise by walking each unit in turn, as `rwr_star` does.
+    The answers and the refusals are the same either way.
     """
-    table, refused, memo = _normal_forms(system, conversion)
-    product = _memo_product(memo, ((source, 1), (target, -1)))
-    if product is not None:
-        numerator, denominator, _, roots = product
-        return None if any(roots.values()) else Fraction(numerator, denominator)
-    source_numerator, source_denominator, _, source_root = _expand(system, table, refused, memo, source)
-    target_numerator, target_denominator, _, target_root = _expand(system, table, refused, memo, target)
-    if source_root != target_root:
-        return None
-    return Fraction(source_numerator * target_denominator, source_denominator * target_numerator)
+    numerator, denominator, roots = _expanded(system, conversion, ((source, 1), (target, -1)))
+    return None if any(roots.values()) else Fraction(numerator, denominator)
 
 
 def coherent(system: UnitSystem, conversion: DefiningConversion, left: Unit, right: Unit) -> bool:
@@ -768,18 +750,6 @@ def explore_closure(
     )
 
 
-def _combine(x: int, left: Mapping, y: int, right: Mapping) -> dict:
-    """The integer combination x * left + y * right of two sparse vectors."""
-    out = {key: x * value for key, value in left.items()}
-    for key, value in right.items():
-        total = out.get(key, 0) + y * value
-        if total:
-            out[key] = total
-        else:
-            out.pop(key, None)
-    return out
-
-
 def _subtract(vector: dict, multiple: int, pivot: Mapping) -> None:
     """Subtract multiple * pivot from a sparse vector in place."""
     for key, value in pivot.items():
@@ -808,8 +778,8 @@ def _relation_basis(vectors: list[dict[str, int]]) -> list[dict[int, int]]:
     or -1 needs no multiplier, so its row and combination, times the
     row's coefficient, are subtracted in place, and the step counts the
     row, which it scans for the pivot symbol, and the pivot's entries.
-    Any other pivot scales the row: the row and combination are built
-    anew and divided by the content of both, so they stay small and
+    Any other pivot scales the row: the row and combination are scaled
+    in place and divided by the content of both, so they stay small and
     integral, and the step counts every entry of both pairs. A row that
     reduces to zero yields its combination, divided by its content. That
     combination holds its own vector with a nonzero coefficient and
@@ -843,11 +813,14 @@ def _relation_basis(vectors: list[dict[str, int]]) -> list[dict[int, int]]:
                 _subtract(row, a * b, pivot_row)
                 _subtract(combination, a * b, pivot_combination)
                 continue
-            row = _combine(b, row, -a, pivot_row)
-            combination = _combine(b, combination, -a, pivot_combination)
+            for vector, pivot_vector in ((row, pivot_row), (combination, pivot_combination)):
+                for key in vector:
+                    vector[key] *= b
+                _subtract(vector, a, pivot_vector)
             content = gcd(*row.values(), *combination.values())
-            row = {key: value // content for key, value in row.items()}
-            combination = {key: value // content for key, value in combination.items()}
+            for vector in (row, combination):
+                for key in vector:
+                    vector[key] //= content
         if not row:
             content = gcd(*combination.values())
             if content > 1:

@@ -968,6 +968,17 @@ def test_rwr_star_and_convert_refuse_malformed_units_as_evaluate_does(siuk_pair)
     assert rwr_star(system, rules, cancelled) == rwr_star(system, rules, parse_unit(system, "m/g"))
 
 
+def test_the_memo_keeps_no_factor_that_the_reference_evaluates(siuk_pair):
+    # The tuple prefixes cancel, so the reference evaluates the unit; none of its factors is memoised.
+    system, rules = siuk_pair
+    cancelled = ExponentMap({PreUnit(("k",), "m"): 1, PreUnit(("k",), "g"): -1})
+    target = parse_unit(system, "m/g")
+    fresh = DefiningConversion(dict(rules.rules))
+    assert convert(system, fresh, cancelled, target) == convert(system, fresh, target, target) == 1
+    assert convert(system, fresh, target, cancelled) == 1
+    assert _memo(fresh) and all(type(preunit.prefix) is ExponentMap for preunit in _memo(fresh))
+
+
 def test_one_size_rule_refuses_prefix_values_and_rule_factors_alike(siuk_pair):
     system, rules = siuk_pair
     assert _refusals(system, rules, "Ym^176*lb^539") == _too_large("rewritten factor")
@@ -1150,8 +1161,9 @@ def test_each_unit_of_a_conversion_is_bounded_alone(monkeypatch):
     for text in ("Ym", "ym"):
         convert(system, warm, parse_unit(system, text), parse_unit(system, "m"))
     assert as_preunit_of(system, "Ym") in _memo(warm) and as_preunit_of(system, "ym") in _memo(warm)
-    # Both units are multiplied out from the memo in one walk, without `_expand`.
-    monkeypatch.setattr(CONVERT_MODULE, "_expand", None)
+    # Both units are multiplied out from the memo in one walk, without reading either:
+    # every exact walk reads its unit with `_read_unit`.
+    monkeypatch.setattr(CONVERT_MODULE, "_read_unit", None)
     assert convert(system, warm, source, target) == factor
 
 

@@ -32,11 +32,28 @@ def depth_family(n):
     return chain_registry_text(n)[0], ["depth"]
 
 
+def product_registry_text(n):
+    """A registry of n distinct units of one dimension, and the text of their product."""
+    names = unit_symbols(n)
+    return "[dimensions]\nD\n\n[units]\n" + "".join(f"{name} D\n" for name in names), "*".join(names)
+
+
 def census_family(n):
     """`census` of a product of n distinct units, over si: each slot's table holds at most 60*n+1 sums."""
-    names = unit_symbols(n)
-    text = "[dimensions]\nD\n\n[units]\n" + "".join(f"{name} D\n" for name in names)
-    return text, ["census", "*".join(names), "--registry", "si"]
+    text, product = product_registry_text(n)
+    return text, ["census", product, "--registry", "si"]
+
+
+def convert_chain_family(n):
+    """`convert` from the first unit of a chain of n rules to the last."""
+    text, first, last = chain_registry_text(n)
+    return text, ["convert", first, last]
+
+
+def convert_product_family(n):
+    """`convert` of a product of n distinct units to itself, over si."""
+    text, product = product_registry_text(n)
+    return text, ["convert", product, product, "--registry", "si"]
 
 
 def ring_family(n):
@@ -57,8 +74,14 @@ def bytecodes(family, n, path):
 
 @pytest.mark.parametrize(
     "family, n, bound",
-    [(depth_family, 200, LINEAR), (census_family, 4, QUADRATIC), (ring_family, 200, LINEAR)],
-    ids=["depth", "census", "ring"],
+    [
+        (depth_family, 200, LINEAR),
+        (census_family, 4, QUADRATIC),
+        (ring_family, 200, LINEAR),
+        (convert_chain_family, 200, LINEAR),
+        (convert_product_family, 50, LINEAR),
+    ],
+    ids=["depth", "census", "ring", "convert-chain", "convert-product"],
 )
 def test_work_grows_within_its_class(tmp_path, family, n, bound):
     small, middle, large = (bytecodes(family, size, tmp_path / "family.reg") for size in (n, 2 * n, 4 * n))
